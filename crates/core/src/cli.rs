@@ -4,13 +4,13 @@
 //! dependency set to the numeric essentials (see DESIGN.md §8).
 
 use crate::backend::take_backend_flag;
-use crate::dse::{run_dse, DseAxes, DsePlan};
+use crate::dse::{run_dse, DseAxes, DseOutcome, DsePlan};
 use crate::par;
 use crate::params::parse_params;
 use crate::report::{Comparison, GemmReport};
 use crate::roofline;
 use crate::runner::GemmRunner;
-use crate::sweep::{run_sweep, SweepPlan};
+use crate::sweep::SweepArm;
 use core::fmt::Write as _;
 use pacq_arch::ArchTemplate;
 use pacq_cache::{ReportCache, Shard, SweepCheckpoint};
@@ -22,7 +22,6 @@ use pacq_simt::{
     octet_schedule, simulate, Architecture, GemmShape, OctetPipeline, SmConfig, Workload,
 };
 use pacq_trace::{ChromeTrace, Json, RunManifest};
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Usage text shown by `pacq help` and on errors.
@@ -77,17 +76,23 @@ Table I machine, bit for bit), examples/arch/pacq.toml and
 examples/arch/input_stationary.toml (dataflow = \"is\": the activation
 tile held in the tensor-core buffers across the n loop).
 
-`pacq sweep --param grid` runs the full batch × architecture ×
-precision grid for the layer; --shard i/N slices it into N disjoint
-index classes (for split runs), and --checkpoint FILE records completed
-jobs so an interrupted sweep resumes where it stopped.
+`pacq sweep --param` runs one of four fixed presets over the dse
+engine, each with its own table: grid is the default dse search (batch
+16..512 × std,packedk,pacq × int4,int2 at the machine's own width, dup
+and group); batch pairs std and pacq across batch 16..512; dup walks
+PacQ across dup 1,2,4 and width walks pacq and packedk across width
+4,8,16, both at the shape's batch. Each arm fixes its architectures, so
+--arch is a usage error, as are --dup on the dup arm and --width on the
+width arm. Only grid takes --shard i/N (N disjoint index classes, for
+split runs) and --checkpoint FILE (records completed points so an
+interrupted grid resumes where it stopped).
 
 `pacq dse` grid-searches design points over the template (or builtin)
 machine: repeated --param flags name the axes — batch=16,32
 arch=std,packedk,is,pacq precision=int4,int2 width=4,8,16 dup=1,2,4
 group=g128,g64 — and every unnamed axis keeps its default (the
-sweep-grid product over the machine's own width/dup and g128, so a
-flag-less dse reproduces `sweep --param grid` bit for bit). The
+`sweep --param grid` preset: the batch × architecture × precision
+product over the machine's own width/dup and g128). The
 mapping axis searches warp-tile loop orders instead of naming
 architectures directly: --param mapping=mnk,nkm,knm (permutations of
 mnk, optionally @16x16 — the only executable warp tile) derives each
@@ -96,8 +101,8 @@ n = is, inner k = pacq) and conflicts with --param arch. --pareto
 prints the non-dominated (cycles, energy) front as a stable table
 (ties keep every point, rows ordered by cycles/energy/id) and records
 it in the --metrics manifest (kind \"dse.pareto\"). --shard,
---checkpoint and --cache compose exactly as they do for sweep; with
---cache, checkpoint-resumed rows are rehydrated from the store so
+--checkpoint and --cache compose exactly as they do for the grid sweep;
+with --cache, checkpoint-resumed rows are rehydrated from the store so
 best-EDP/Pareto rankings stay complete (otherwise they are flagged
 partial).
 
@@ -791,6 +796,22 @@ fn compare(
     Ok(out)
 }
 
+/// Runs `axes` over the `--shape` layer through the dse engine, honoring
+/// `--shard` and `--checkpoint`. The checkpoint is bound to grid ×
+/// machine × template × backend: resuming a half-done grid under any
+/// other runner is a typed mismatch, never a silent skip.
+fn run_grid(opts: &Options, base: &GemmRunner, axes: &DseAxes) -> PacqResult<DseOutcome> {
+    let plan = DsePlan::enumerate(axes, opts.shape.n, opts.shape.k);
+    let checkpoint = match &opts.checkpoint {
+        Some(path) => Some(SweepCheckpoint::open(path, &plan.binding_digest(base))?),
+        None => None,
+    };
+    run_dse(base, &plan, opts.shard, checkpoint.as_ref())
+}
+
+/// `pacq sweep --param grid|batch|dup|width`: each arm is a fixed
+/// preset over the dse engine ([`crate::sweep::SweepArm`]), so it fixes
+/// its own architectures — and the dup or width it walks.
 fn sweep(
     args: &[String],
     cache: Option<&Arc<ReportCache>>,
@@ -801,7 +822,7 @@ fn sweep(
     // Shared --param validation (duplicates, empty value lists) before
     // the sweep-specific shape check.
     let specs = parse_params(&opts.params)?;
-    let param = match specs.as_slice() {
+    let name = match specs.as_slice() {
         [] => return Err(err("--param is required for sweep")),
         [spec] if spec.values.is_empty() => spec.name.as_str(),
         [spec] => {
@@ -813,165 +834,40 @@ fn sweep(
         }
         _ => return Err(err("sweep takes exactly one --param")),
     };
-    if param != "grid" && (opts.shard != Shard::FULL || opts.checkpoint.is_some()) {
+    let arm = SweepArm::parse(name)?;
+    if arm != SweepArm::Grid && (opts.shard != Shard::FULL || opts.checkpoint.is_some()) {
         return Err(err(
             "--shard and --checkpoint apply to `sweep --param grid` only",
         ));
     }
-    let mut out = String::new();
-    match param {
-        // The sharded, resumable batch×architecture×precision grid
-        // (DESIGN.md §12). Rows print in grid order; jobs other shards
-        // own are omitted, checkpointed jobs print as `done (resumed)`.
-        "grid" => {
-            let runner = runner_for(&opts, cache, template)?.with_backend(backend);
-            let plan = SweepPlan::batch_grid(opts.shape.n, opts.shape.k);
-            // The checkpoint is bound to grid × machine × template ×
-            // backend: resuming a half-done sweep under any other runner
-            // is a typed mismatch, never a silent skip.
-            let checkpoint = match &opts.checkpoint {
-                Some(path) => Some(SweepCheckpoint::open(path, &plan.binding_digest(&runner))?),
-                None => None,
-            };
-            let outcome = run_sweep(&runner, &plan, opts.shard, checkpoint.as_ref())?;
-            let _ = writeln!(
-                out,
-                "{:<24} {:>14} {:>14} {:>14}",
-                "job", "cycles", "energy (uJ)", "EDP (pJ*s)"
-            );
-            for row in &outcome.rows {
-                match &row.report {
-                    Some(r) => {
-                        let _ = writeln!(
-                            out,
-                            "{:<24} {:>14} {:>14.2} {:>14.6}",
-                            row.job.id(),
-                            r.stats.total_cycles,
-                            r.total_energy_pj() / 1e6,
-                            r.edp_pj_s,
-                        );
-                    }
-                    None => {
-                        let _ = writeln!(out, "{:<24} {:>14}", row.job.id(), "done (resumed)");
-                    }
-                }
-            }
-            let t = outcome.tally;
-            let _ = writeln!(
-                out,
-                "grid: {} jobs, shard {} selected {}, resumed {}, executed {}",
-                t.total, opts.shard, t.selected, t.skipped, t.executed
-            );
-            if let Some(c) = cache {
-                let _ = writeln!(out, "cache: {} hits, {} misses", c.hits(), c.misses());
-            }
-        }
-        // Each arm renders its sweep points into rows on the worker pool
-        // (ordered collect), so the printed table is identical at any
-        // `--jobs` setting.
-        "batch" => {
-            let _ = writeln!(
-                out,
-                "{:<8} {:>14} {:>14} {:>14}",
-                "batch", "PacQ cycles", "speedup v std", "EDP reduction"
-            );
-            let runner = runner_for(&opts, cache, template)?.with_backend(backend);
-            let points: Vec<(Architecture, Workload)> = [16usize, 32, 64, 128, 256, 512]
-                .iter()
-                .flat_map(|&m| {
-                    let wl = Workload::new(
-                        GemmShape::new(m, opts.shape.n, opts.shape.k),
-                        opts.precision,
-                    );
-                    [
-                        (Architecture::StandardDequant, wl),
-                        (Architecture::Pacq, wl),
-                    ]
-                })
-                .collect();
-            for pair in runner.analyze_sweep(&points)?.chunks(2) {
-                let [std, pq] = pair else {
-                    // chunks(2) over an even point list always yields pairs.
-                    continue;
-                };
-                let _ = writeln!(
-                    out,
-                    "{:<8} {:>14} {:>13.2}x {:>13.1}%",
-                    pq.workload.shape.m,
-                    pq.stats.total_cycles,
-                    pq.speedup_over(std),
-                    100.0 * (1.0 - pq.edp_normalized_to(std)),
-                );
-            }
-        }
-        "dup" => {
-            let _ = writeln!(
-                out,
-                "{:<6} {:>14} {:>16}",
-                "dup", "PacQ cycles", "TC power (units)"
-            );
-            let width = resolve_config(&opts, template).dp_width;
-            let rows: Vec<PacqResult<String>> = vec![1usize, 2, 4]
-                .into_par_iter()
-                .map(|dup| {
-                    let mut o = opts_clone(&opts);
-                    o.dup = Some(dup);
-                    let runner = runner_for(&o, cache, template)?.with_backend(backend);
-                    let r = runner.analyze(
-                        Architecture::Pacq,
-                        Workload::new(opts.shape, opts.precision),
-                    )?;
-                    let unit = pacq_energy::GemmUnit::ParallelDp {
-                        width,
-                        duplication: dup,
-                    };
-                    Ok(format!(
-                        "{:<6} {:>14} {:>16.2}\n",
-                        dup,
-                        r.stats.total_cycles,
-                        unit.power_units()
-                    ))
-                })
-                .collect();
-            for row in rows {
-                out.push_str(&row?);
-            }
-        }
-        "width" => {
-            let _ = writeln!(
-                out,
-                "{:<8} {:>14} {:>14}",
-                "width", "PacQ cycles", "P(B)k cycles"
-            );
-            let rows: Vec<PacqResult<String>> = vec![4usize, 8, 16]
-                .into_par_iter()
-                .map(|width| {
-                    let mut o = opts_clone(&opts);
-                    o.width = Some(width);
-                    let runner = runner_for(&o, cache, template)?.with_backend(backend);
-                    let wl = Workload::new(opts.shape, opts.precision);
-                    let pq = runner.analyze(Architecture::Pacq, wl)?;
-                    let pk = runner.analyze(Architecture::PackedK, wl)?;
-                    Ok(format!(
-                        "DP-{:<5} {:>14} {:>14}\n",
-                        width, pq.stats.total_cycles, pk.stats.total_cycles
-                    ))
-                })
-                .collect();
-            for row in rows {
-                out.push_str(&row?);
-            }
-        }
-        other => return Err(err(format!("unknown sweep parameter `{other}`"))),
+    // A flag the arm overrides must not pass silently.
+    let overridden = match arm {
+        _ if opts.arch.is_some() => Some("--arch"),
+        SweepArm::Dup if opts.dup.is_some() => Some("--dup"),
+        SweepArm::Width if opts.width.is_some() => Some("--width"),
+        _ => None,
+    };
+    if let Some(flag) = overridden {
+        return Err(err(format!(
+            "`sweep --param {name}` fixes its own {} values, so {flag} doesn't apply; \
+             `pacq dse --param` chooses them",
+            &flag[2..]
+        )));
+    }
+    let base = runner_for(&opts, cache, template)?.with_backend(backend);
+    let outcome = run_grid(&opts, &base, &arm.axes(&base, opts.shape, opts.precision))?;
+    let mut out = arm.render(&outcome, opts.shard);
+    if let (SweepArm::Grid, Some(c)) = (arm, cache) {
+        let _ = writeln!(out, "cache: {} hits, {} misses", c.hits(), c.misses());
     }
     Ok(out)
 }
 
 /// `pacq dse`: grid-searches design points (batch × architecture-or-
 /// mapping × precision × width × dup × group) over the template (or
-/// builtin) machine, with the sweep machinery — sharding, checkpoint
-/// resume bound to the (grid × machine × template × backend) digest,
-/// report caching — reused wholesale. See [`crate::dse`]. With
+/// builtin) machine — sharded, checkpoint-resumable under the (grid ×
+/// machine × template × backend) binding, and report-cached. See
+/// [`crate::dse`]. With
 /// `--pareto` the non-dominated (cycles, energy) set is printed as a
 /// stable table and recorded in the `--metrics` manifest.
 fn dse(
@@ -1003,12 +899,7 @@ fn dse(
     let cfg = *base.config();
     let mut axes = DseAxes::defaults(cfg.dp_width, cfg.adder_tree_duplication, opts.group);
     axes.apply(&parse_params(&opts.params)?)?;
-    let plan = DsePlan::enumerate(&axes, opts.shape.n, opts.shape.k);
-    let checkpoint = match &opts.checkpoint {
-        Some(path) => Some(SweepCheckpoint::open(path, &plan.binding_digest(&base))?),
-        None => None,
-    };
-    let outcome = run_dse(&base, &plan, opts.shard, checkpoint.as_ref())?;
+    let outcome = run_grid(&opts, &base, &axes)?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -1542,23 +1433,6 @@ fn trace(args: &[String], template: Option<&ArchTemplate>) -> PacqResult<String>
         replay.cycles,
         replay.fetch_stall_cycles,
     ))
-}
-
-fn opts_clone(o: &Options) -> Options {
-    Options {
-        shape: o.shape,
-        precision: o.precision,
-        arch: o.arch,
-        group: o.group,
-        dup: o.dup,
-        width: o.width,
-        json: o.json,
-        check: o.check,
-        params: o.params.clone(),
-        out: o.out.clone(),
-        shard: o.shard,
-        checkpoint: o.checkpoint.clone(),
-    }
 }
 
 fn report_text(r: &GemmReport) -> String {

@@ -1,28 +1,38 @@
-//! The design-space-exploration engine behind `pacq dse`.
+//! The grid engine behind `pacq dse` and every `pacq sweep` arm.
 //!
-//! Where `pacq sweep --param grid` walks one fixed batch × architecture
-//! × precision grid over the hardcoded machine, `pacq dse` grid-searches
-//! *design points*: batch sizes, dataflows (architectures), weight
-//! precisions, DP widths, adder-tree duplications and group geometries,
-//! all over a machine described by an architecture template (or the
-//! builtin Volta-like configuration). It reuses the sweep machinery
-//! wholesale — `--shard i/N` residue classes, `--checkpoint FILE`
-//! resume bound to the (grid × machine × template × backend) digest,
-//! the `--cache DIR` report store, the rayon worker pool — so dse runs
-//! are interruptible, splittable and memoized the same way sweeps are.
+//! A search is a deterministically ordered list of [`EvalPoint`]s:
+//! batch sizes, dataflows (architectures), weight precisions, DP widths,
+//! adder-tree duplications and group geometries, all over a base
+//! machine described by an architecture template (or the builtin
+//! Volta-like configuration). Three orthogonal mechanisms make big grids
+//! cheap to run and safe to interrupt:
+//!
+//! - **sharding** ([`Shard`], `--shard i/N`): each invocation owns a
+//!   residue class of point indices, so N machines (or N CI lanes) split
+//!   one grid with no coordination beyond the flag;
+//! - **checkpointing** ([`SweepCheckpoint`], `--checkpoint FILE`): an
+//!   append-only record of completed point ids, bound to the (grid ×
+//!   machine × template × backend) digest, so a killed run resumes where
+//!   it stopped;
+//! - **result caching** ([`pacq_cache::ReportCache`], `--cache DIR`,
+//!   attached to the base runner): completed points are memoized
+//!   content-addressed, so even a checkpoint-less re-run pays only
+//!   lookups.
+//!
+//! All three compose with the rayon worker pool: selection and
+//! skip-filtering happen up front, execution fans out in parallel, and
+//! rows come back in grid order regardless of completion order.
 //!
 //! Axes are spelled as repeated `--param name=v1,v2,...` flags (see
 //! [`crate::params`]); every axis the user does not name keeps its
-//! default, which is chosen so that a flag-less `pacq dse` over a
-//! committed builtin-equivalent template enumerates exactly the
-//! `sweep --param grid` jobs and reproduces its reports bit for bit.
+//! default, which is exactly the `sweep --param grid` preset (see
+//! [`crate::sweep`]).
 
 use rayon::prelude::*;
 
 use crate::params::ParamSpec;
 use crate::report::GemmReport;
 use crate::runner::GemmRunner;
-use crate::sweep::SweepTally;
 use pacq_cache::{grid_digest, Shard, SweepCheckpoint};
 use pacq_error::{PacqError, PacqResult};
 use pacq_fp16::WeightPrecision;
@@ -159,9 +169,7 @@ pub struct DseAxes {
 impl DseAxes {
     /// The default axes over a base machine: the `sweep --param grid`
     /// batch × architecture × precision product, with width / dup /
-    /// group pinned to the machine's own values — so a flag-less dse
-    /// over a builtin-equivalent template reproduces the grid sweep's
-    /// reports bit for bit.
+    /// group pinned to the machine's own values.
     pub fn defaults(base_width: usize, base_dup: usize, base_group: GroupShape) -> DseAxes {
         DseAxes {
             batch: vec![16, 32, 64, 128, 256, 512],
@@ -273,10 +281,12 @@ impl DseAxes {
     }
 }
 
-/// One dse design point: a full (workload × architecture × datapath ×
-/// group) coordinate.
+/// One evaluation point: a full (workload × architecture × datapath ×
+/// group) coordinate over a base machine. Grid rows, served requests
+/// and loadgen's in-process references are all priced through
+/// [`EvalPoint::runner`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DseJob {
+pub struct EvalPoint {
     /// The architecture (dataflow) to simulate.
     pub arch: Architecture,
     /// The workload (batch × layer × precision).
@@ -292,8 +302,8 @@ pub struct DseJob {
     pub mapping: Option<Mapping>,
 }
 
-impl DseJob {
-    /// The job's stable id — checkpoint line format, newline-free. A
+impl EvalPoint {
+    /// The point's stable id — checkpoint line format, newline-free. A
     /// mapping-axis point appends its loop order (`...:g128:nkm`), so
     /// two counter-equivalent permutations stay distinct rows.
     pub fn id(&self) -> String {
@@ -312,13 +322,25 @@ impl DseJob {
         }
         id
     }
+
+    /// The runner pricing this point: `base` with the point's DP width,
+    /// adder-tree duplication and group geometry overridden. The base's
+    /// machine capacities, energy model, template identity, cache handle
+    /// and backend all carry over, so cache keys and checkpoint bindings
+    /// see the machine behind every point.
+    pub fn runner(&self, base: &GemmRunner) -> GemmRunner {
+        let mut cfg = *base.config();
+        cfg.dp_width = self.width;
+        cfg.adder_tree_duplication = self.dup;
+        base.clone().with_config(cfg).with_group(self.group)
+    }
 }
 
 /// A fully enumerated dse search with a content digest binding
 /// checkpoints to it.
 #[derive(Debug, Clone)]
 pub struct DsePlan {
-    jobs: Vec<DseJob>,
+    jobs: Vec<EvalPoint>,
 }
 
 impl DsePlan {
@@ -343,7 +365,7 @@ impl DsePlan {
                     for &width in &axes.width {
                         for &dup in &axes.dup {
                             for &group in &axes.group {
-                                jobs.push(DseJob {
+                                jobs.push(EvalPoint {
                                     arch,
                                     workload: Workload::new(GemmShape::new(m, n, k), precision),
                                     width,
@@ -361,21 +383,33 @@ impl DsePlan {
     }
 
     /// The search's jobs in enumeration order.
-    pub fn jobs(&self) -> &[DseJob] {
+    pub fn jobs(&self) -> &[EvalPoint] {
         &self.jobs
     }
 
-    /// A digest over every job id (order-sensitive).
+    /// A digest over every point id and its layer (order-sensitive).
+    /// Ids name the batch but not the `n×k` layer, so the layer is
+    /// folded in here: a checkpoint written for one layer must not
+    /// resume a search over another.
     pub fn digest(&self) -> String {
-        let ids: Vec<String> = self.jobs.iter().map(DseJob::id).collect();
-        grid_digest(&ids.join("\n"))
+        let lines: Vec<String> = self
+            .jobs
+            .iter()
+            .map(|p| format!("{} n{}k{}", p.id(), p.workload.shape.n, p.workload.shape.k))
+            .collect();
+        grid_digest(&lines.join("\n"))
     }
 
     /// The checkpoint binding: this search's digest plus the *base*
-    /// runner's full provenance (machine, template identity, backend —
-    /// see [`crate::sweep::SweepPlan::binding_digest`] for why job ids
-    /// alone under-bind). Per-job width/dup/group variations are
-    /// already in the job ids.
+    /// runner's full provenance ([`GemmRunner::provenance`] — machine
+    /// configuration, group geometry, numerics mode, template identity
+    /// and backend). Point ids alone under-bind: a checkpoint written
+    /// under one machine (a different `--dup`, an edited template, a
+    /// different backend) would otherwise satisfy a resume under another,
+    /// skip every point and splice rows priced by two machines into one
+    /// table; binding the base makes that a typed
+    /// [`PacqError::InvalidInput`] at open time instead. Per-point
+    /// width/dup/group variations are already in the ids.
     pub fn binding_digest(&self, base: &GemmRunner) -> String {
         grid_digest(&format!(
             "{grid}\n{provenance}",
@@ -389,7 +423,7 @@ impl DsePlan {
 #[derive(Debug, Clone)]
 pub struct DseRow {
     /// The design point this row answers.
-    pub job: DseJob,
+    pub job: EvalPoint,
     /// The report. `None` only when the checkpoint records the job as
     /// done *and* no attached `--cache` store still holds its report —
     /// resumed rows are rehydrated from the cache whenever possible, so
@@ -402,7 +436,7 @@ pub struct DseRow {
 /// across `--jobs` counts, shard interleavings and resume histories.
 /// Rows without a report (resumed, not rehydratable) don't compete; the
 /// caller is responsible for flagging the ranking as partial then.
-pub fn best_edp(rows: &[DseRow]) -> Option<(&DseJob, &GemmReport)> {
+pub fn best_edp(rows: &[DseRow]) -> Option<(&EvalPoint, &GemmReport)> {
     rows.iter()
         .filter_map(|r| r.report.as_ref().map(|rep| (&r.job, rep)))
         .min_by(|a, b| {
@@ -410,6 +444,19 @@ pub fn best_edp(rows: &[DseRow]) -> Option<(&DseJob, &GemmReport)> {
                 .total_cmp(&b.1.edp_pj_s)
                 .then_with(|| a.0.id().cmp(&b.0.id()))
         })
+}
+
+/// Aggregate accounting for one grid run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SweepTally {
+    /// Points in the full grid.
+    pub total: usize,
+    /// Points this shard owns.
+    pub selected: usize,
+    /// Owned points skipped because the checkpoint already records them.
+    pub skipped: usize,
+    /// Owned points actually analyzed this run.
+    pub executed: usize,
 }
 
 /// The result of [`run_dse`]: rows in enumeration order (restricted to
@@ -422,11 +469,11 @@ pub struct DseOutcome {
     pub tally: SweepTally,
 }
 
-/// Runs `plan` against the base runner, deriving each job's runner by
-/// overriding the datapath knobs (width, dup) and group geometry on the
-/// base — the base's machine capacities, energy model, template
-/// identity, cache handle and backend all carry over, so cache keys and
-/// the checkpoint binding see the template behind every point.
+/// Runs `plan` against the base runner, pricing each point through
+/// [`EvalPoint::runner`]. Executed points fan out on the rayon pool;
+/// rows return in enumeration order. Each completed point is appended
+/// to the checkpoint before the run returns, so an interrupt after this
+/// function loses nothing.
 ///
 /// # Errors
 ///
@@ -444,16 +491,6 @@ pub fn run_dse(
         ..SweepTally::default()
     };
 
-    // The per-job runner: the base with this point's datapath knobs and
-    // group geometry overridden (used both to execute and to probe the
-    // cache for resumed rows, so the key derivation is identical).
-    let job_runner = |job: &DseJob| {
-        let mut cfg = *base.config();
-        cfg.dp_width = job.width;
-        cfg.adder_tree_duplication = job.dup;
-        base.clone().with_config(cfg).with_group(job.group)
-    };
-
     let mut skipped_rows = Vec::new();
     let mut to_run = Vec::new();
     for (index, job) in plan.jobs().iter().enumerate() {
@@ -467,7 +504,7 @@ pub fn run_dse(
             // store (the first pass wrote it there); rehydrate it so
             // best-EDP/Pareto rankings over the resumed run see every
             // row instead of silently excluding the resumed ones.
-            let report = job_runner(job).cached_report(job.arch, job.workload);
+            let report = job.runner(base).cached_report(job.arch, job.workload);
             skipped_rows.push((index, DseRow { job: *job, report }));
         } else {
             tally.executed += 1;
@@ -478,8 +515,7 @@ pub fn run_dse(
     let reports: Vec<PacqResult<(usize, DseRow)>> = to_run
         .into_par_iter()
         .map(|(index, job)| {
-            let runner = job_runner(&job);
-            let report = runner.analyze(job.arch, job.workload)?;
+            let report = job.runner(base).analyze(job.arch, job.workload)?;
             if let Some(c) = checkpoint {
                 c.mark_done(&job.id())?;
             }
@@ -514,35 +550,9 @@ pub fn run_dse(
 mod tests {
     use super::*;
     use crate::params::parse_params;
-    use crate::sweep::{run_sweep, SweepPlan};
 
     fn default_axes() -> DseAxes {
         DseAxes::defaults(4, 2, GroupShape::G128)
-    }
-
-    #[test]
-    fn default_axes_reproduce_the_grid_sweep_bit_for_bit() {
-        // The reproduction contract: a flag-less dse over the builtin
-        // machine enumerates exactly the sweep --param grid jobs and
-        // prices them identically.
-        let runner = GemmRunner::new();
-        let plan = DsePlan::enumerate(&default_axes(), 256, 256);
-        let grid = SweepPlan::batch_grid(256, 256);
-        assert_eq!(plan.jobs().len(), grid.jobs().len());
-
-        let dse = run_dse(&runner, &plan, Shard::FULL, None).unwrap();
-        let sweep = run_sweep(&runner, &grid, Shard::FULL, None).unwrap();
-        for (d, s) in dse.rows.iter().zip(&sweep.rows) {
-            let (dr, sr) = (d.report.as_ref().unwrap(), s.report.as_ref().unwrap());
-            assert_eq!(d.job.arch, s.job.arch);
-            assert_eq!(d.job.workload, s.job.workload);
-            assert_eq!(dr.stats, sr.stats);
-            assert_eq!(dr.edp_pj_s.to_bits(), sr.edp_pj_s.to_bits());
-            assert_eq!(
-                dr.total_energy_pj().to_bits(),
-                sr.total_energy_pj().to_bits()
-            );
-        }
     }
 
     #[test]
@@ -565,7 +575,7 @@ mod tests {
         // 2 batches × 1 arch × 2 precisions × 2 widths × 2 dups × 1 group.
         assert_eq!(plan.jobs().len(), 16);
         // Ids are unique and carry every coordinate.
-        let mut ids: Vec<String> = plan.jobs().iter().map(DseJob::id).collect();
+        let mut ids: Vec<String> = plan.jobs().iter().map(EvalPoint::id).collect();
         assert!(ids[0].starts_with("b16:pacq:int4:w4:d1:g64"), "{}", ids[0]);
         ids.sort();
         ids.dedup();
@@ -606,10 +616,19 @@ mod tests {
         for other in [
             GemmRunner::new().with_backend(Backend::Batched),
             GemmRunner::new().with_template_digest("deadbeef"),
+            GemmRunner::new().with_config(pacq_simt::SmConfig {
+                adder_tree_duplication: 4,
+                ..pacq_simt::SmConfig::volta_like()
+            }),
         ] {
             let e = SweepCheckpoint::open(&path, &plan.binding_digest(&other)).unwrap_err();
             assert_eq!(e.exit_code(), 4, "{e}");
         }
+        // Ids carry no layer, so the plan digest must: the same axes
+        // over another n×k layer are another search.
+        let other_layer = DsePlan::enumerate(&default_axes(), 512, 512);
+        let e = SweepCheckpoint::open(&path, &other_layer.binding_digest(&base)).unwrap_err();
+        assert_eq!(e.exit_code(), 4, "{e}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -654,7 +673,7 @@ mod tests {
         let plan = DsePlan::enumerate(&axes, 256, 256);
         // 1 batch × 3 mappings × 2 precisions.
         assert_eq!(plan.jobs().len(), 6);
-        let ids: Vec<String> = plan.jobs().iter().map(DseJob::id).collect();
+        let ids: Vec<String> = plan.jobs().iter().map(EvalPoint::id).collect();
         assert!(
             ids[0].starts_with("b16:pacq:int4:w4:d2:g128:mnk"),
             "{}",

@@ -32,13 +32,14 @@
 //! `--cache`/`--hot`/`--backend`, and drain it when the run ends).
 
 use crate::cli;
+use crate::dse::EvalPoint;
 use crate::runner::GemmRunner;
 use crate::serve::{validate_serve_count, ServeOptions, Server};
 use pacq_cache::ReportCache;
 use pacq_error::{PacqError, PacqResult};
 use pacq_fp16::{Backend, WeightPrecision};
 use pacq_quant::GroupShape;
-use pacq_simt::{Architecture, SmConfig, Workload};
+use pacq_simt::{Architecture, Workload};
 use pacq_trace::Json;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -150,21 +151,22 @@ fn request_line(id: u64, point: &MixPoint) -> String {
     frame.render_line()
 }
 
-/// Recomputes `point` in-process under the serve-side defaults
-/// (`volta_like`, `dup 2`, `width 4`, `g128`) without any cache, and
+/// Recomputes `point` in-process under the serve-side defaults (the
+/// builtin machine, `dup 2`, `width 4`, `g128`) without any cache, and
 /// renders the report in the lossless `pacq-cache/v1` encoding — the
 /// exact string a conforming server must have sent.
 fn reference_line(point: &MixPoint, backend: Backend) -> PacqResult<String> {
-    let mut cfg = SmConfig::volta_like();
-    cfg.adder_tree_duplication = 2;
-    cfg.dp_width = 4;
-    let runner = GemmRunner::new()
-        .with_config(cfg)
-        .with_group(GroupShape::G128)
-        .with_backend(backend);
-    let workload = Workload::new(cli::parse_shape(&point.shape)?, point.precision);
-    let report = runner.analyze(point.arch, workload)?;
-    let key = runner.cache_key(point.arch, workload);
+    let point = EvalPoint {
+        arch: point.arch,
+        workload: Workload::new(cli::parse_shape(&point.shape)?, point.precision),
+        width: 4,
+        dup: 2,
+        group: GroupShape::G128,
+        mapping: None,
+    };
+    let runner = point.runner(&GemmRunner::new().with_backend(backend));
+    let report = runner.analyze(point.arch, point.workload)?;
+    let key = runner.cache_key(point.arch, point.workload);
     Ok(report.to_cached().to_json(&key).render_line())
 }
 

@@ -37,12 +37,13 @@
 //!   frame (or close stdin) rather than SIGKILL.
 
 use crate::cli;
+use crate::dse::EvalPoint;
 use crate::runner::GemmRunner;
 use pacq_cache::ReportCache;
 use pacq_error::{PacqError, PacqResult};
 use pacq_fp16::{Backend, WeightPrecision};
 use pacq_quant::GroupShape;
-use pacq_simt::{Architecture, SmConfig, Workload};
+use pacq_simt::{Architecture, Workload};
 use pacq_trace::Json;
 use rayon::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -131,17 +132,6 @@ pub struct ServeSummary {
     pub rejected_conns: u64,
 }
 
-/// One fully-validated evaluation point (the serve-side mirror of the
-/// CLI's per-command options).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Point {
-    arch: Architecture,
-    workload: Workload,
-    group: GroupShape,
-    dup: usize,
-    width: usize,
-}
-
 /// A partially-specified point: `batch` frames carry frame-level
 /// defaults that entries override; `shape` has no default.
 #[derive(Debug, Clone, Copy)]
@@ -168,16 +158,17 @@ impl PointSpec {
         }
     }
 
-    fn into_point(self) -> PacqResult<Point> {
+    fn into_point(self) -> PacqResult<EvalPoint> {
         let shape = self
             .shape
             .ok_or_else(|| PacqError::usage("`shape` is required (e.g. \"m16n4096k4096\")"))?;
-        Ok(Point {
+        Ok(EvalPoint {
             arch: self.arch,
             workload: Workload::new(shape, self.precision),
-            group: self.group,
-            dup: self.dup,
             width: self.width,
+            dup: self.dup,
+            group: self.group,
+            mapping: None,
         })
     }
 }
@@ -185,8 +176,8 @@ impl PointSpec {
 /// A parsed request frame.
 #[derive(Debug, Clone, PartialEq)]
 enum Request {
-    Analyze(Point),
-    Batch(Vec<Point>),
+    Analyze(EvalPoint),
+    Batch(Vec<EvalPoint>),
     Stats,
     Ping,
     Shutdown,
@@ -256,7 +247,13 @@ struct ServerState {
     rejected_conns: AtomicU64,
     depth: AtomicUsize,
     options: ServeOptions,
-    cache: Option<Arc<ReportCache>>,
+    /// The builtin machine every request's [`EvalPoint::runner`]
+    /// overrides, carrying the cache handle and backend. It records no
+    /// per-request results: a server answers an unbounded stream, and
+    /// recording every analysis would grow the collector (and the
+    /// `--metrics` manifest) without bound. Traffic shows up in the
+    /// `serve.*` counters instead.
+    base: GemmRunner,
     /// Read-half clones of live TCP connections keyed by a per-accept
     /// id, so drain can unblock idle readers and teardown can remove
     /// exactly its own entry. Empty in `--stdio` mode; returns to empty
@@ -300,7 +297,10 @@ impl ServerState {
             rejected_conns: AtomicU64::new(0),
             depth: AtomicUsize::new(0),
             options,
-            cache,
+            base: GemmRunner::new()
+                .with_cache_opt(cache)
+                .with_backend(options.backend)
+                .without_result_recording(),
             conns: Mutex::new(Vec::new()),
             conn_seq: AtomicU64::new(0),
             active_conns: AtomicUsize::new(0),
@@ -388,7 +388,7 @@ fn stats_frame(id: &Json, state: &ServerState) -> Json {
     stats.set("queue_capacity", state.options.queue_capacity.to_string());
     stats.set("workers", state.options.workers.to_string());
     stats.set("backend", state.options.backend.token());
-    match &state.cache {
+    match state.base.cache() {
         Some(cache) => {
             stats.set("cache_attached", true);
             stats.set("cache_hits", cache.hits().to_string());
@@ -583,30 +583,10 @@ fn parse_request(doc: &Json) -> PacqResult<Request> {
 // Request execution (worker side)
 // ---------------------------------------------------------------------
 
-fn point_runner(point: &Point, cache: Option<Arc<ReportCache>>, backend: Backend) -> GemmRunner {
-    let mut cfg = SmConfig::volta_like();
-    cfg.adder_tree_duplication = point.dup;
-    cfg.dp_width = point.width;
-    // No per-request result records: a server answers an unbounded
-    // stream, and recording every analysis would grow the collector
-    // (and the `--metrics` manifest) without bound. Traffic shows up
-    // in the `serve.*` counters instead.
-    GemmRunner::new()
-        .with_config(cfg)
-        .with_group(point.group)
-        .with_cache_opt(cache)
-        .with_backend(backend)
-        .without_result_recording()
-}
-
 /// Analyzes one point and renders its report in the lossless
 /// `pacq-cache/v1` encoding (the conformance contract).
-fn point_report_json(
-    point: &Point,
-    cache: Option<Arc<ReportCache>>,
-    backend: Backend,
-) -> PacqResult<Json> {
-    let runner = point_runner(point, cache, backend);
+fn point_report_json(point: &EvalPoint, base: &GemmRunner) -> PacqResult<Json> {
+    let runner = point.runner(base);
     let report = runner.analyze(point.arch, point.workload)?;
     let key = runner.cache_key(point.arch, point.workload);
     Ok(report.to_cached().to_json(&key))
@@ -616,17 +596,14 @@ fn execute_request(request: &Request, state: &ServerState, id: &Json) -> PacqRes
     match request {
         Request::Analyze(point) => {
             let mut frame = ok_frame(id);
-            frame.set(
-                "report",
-                point_report_json(point, state.cache.clone(), state.options.backend)?,
-            );
+            frame.set("report", point_report_json(point, &state.base)?);
             Ok(frame)
         }
         Request::Batch(points) => {
             // Dedup identical points so one batch never computes (or
             // even cache-probes) the same point twice, then fan the
             // unique points out on the shared worker pool (par.rs).
-            let mut unique: Vec<Point> = Vec::new();
+            let mut unique: Vec<EvalPoint> = Vec::new();
             let mut slot = Vec::with_capacity(points.len());
             for point in points {
                 match unique.iter().position(|u| u == point) {
@@ -640,7 +617,7 @@ fn execute_request(request: &Request, state: &ServerState, id: &Json) -> PacqRes
             let computed = unique
                 .clone()
                 .into_par_iter()
-                .map(|p| point_report_json(&p, state.cache.clone(), state.options.backend))
+                .map(|p| point_report_json(&p, &state.base))
                 .collect::<Vec<PacqResult<Json>>>()
                 .into_iter()
                 .collect::<PacqResult<Vec<Json>>>()?;
@@ -1533,15 +1510,16 @@ mod tests {
         enqueue(
             &state,
             &tx,
-            Request::Analyze(Point {
+            Request::Analyze(EvalPoint {
                 arch: Architecture::Pacq,
                 workload: Workload::new(
                     pacq_simt::GemmShape::new(16, 256, 256),
                     WeightPrecision::Int4,
                 ),
-                group: GroupShape::G128,
-                dup: 2,
                 width: 4,
+                dup: 2,
+                group: GroupShape::G128,
+                mapping: None,
             }),
             Json::from(1u64),
         );

@@ -1,259 +1,224 @@
-//! The sharded, resumable sweep engine behind `pacq sweep --param grid`.
+//! The `pacq sweep --param` arms: fixed presets over the dse engine.
 //!
-//! A sweep is a deterministically ordered list of `(architecture,
-//! workload)` jobs. Three orthogonal mechanisms make big grids cheap to
-//! run and safe to interrupt:
+//! Each arm is a fixed [`DseAxes`] preset over the base machine, run
+//! through [`crate::dse::run_dse`] — so sharding, checkpointing, the
+//! report cache and the worker pool are the dse engine's — plus its own
+//! table renderer:
 //!
-//! - **sharding** ([`Shard`], `--shard i/N`): each invocation owns a
-//!   residue class of job indices, so N machines (or N CI lanes) split
-//!   one grid with no coordination beyond the flag;
-//! - **checkpointing** ([`SweepCheckpoint`], `--checkpoint FILE`): an
-//!   append-only record of completed job ids, bound to this grid's
-//!   digest, so a killed sweep resumes where it stopped;
-//! - **result caching** ([`pacq_cache::ReportCache`], `--cache DIR`,
-//!   attached to the runner): completed points are memoized
-//!   content-addressed, so even a checkpoint-less re-run pays only
-//!   lookups.
-//!
-//! All three compose with the rayon worker pool: selection and
-//! skip-filtering happen up front, execution fans out in parallel, and
-//! rows come back in grid order regardless of completion order.
+//! - `grid`: [`DseAxes::defaults`] (batch {16…512} × {std, packedk,
+//!   pacq} × {int4, int2}), one row per point; the only arm that takes
+//!   `--shard` and `--checkpoint`;
+//! - `batch`: batch {16…512} × {std, pacq} — PacQ's speedup and EDP
+//!   reduction over the standard dequantizing core;
+//! - `dup`: PacQ × adder-tree duplication {1, 2, 4} at the shape's batch;
+//! - `width`: {PacQ, `P(B_x)_k`} × DP width {4, 8, 16} at the shape's
+//!   batch.
 
-use rayon::prelude::*;
+use core::fmt::Write as _;
 
+use crate::dse::{DseAxes, DseOutcome, EvalPoint};
 use crate::report::GemmReport;
 use crate::runner::GemmRunner;
-use pacq_cache::{grid_digest, Shard, SweepCheckpoint};
-use pacq_error::PacqResult;
+use pacq_cache::{arch_token, precision_token, Shard};
+use pacq_error::{PacqError, PacqResult};
 use pacq_fp16::WeightPrecision;
-use pacq_simt::{Architecture, Workload};
+use pacq_simt::{Architecture, GemmShape};
 
-/// One sweep point: a stable id plus the `(architecture, workload)`
-/// pair it analyzes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepJob {
-    /// The architecture to simulate.
-    pub arch: Architecture,
-    /// The workload.
-    pub workload: Workload,
+/// One `pacq sweep --param` arm.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SweepArm {
+    /// The resumable, shardable batch × architecture × precision grid.
+    Grid,
+    /// PacQ against the standard core across batch sizes.
+    Batch,
+    /// PacQ across adder-tree duplications.
+    Dup,
+    /// PacQ and `P(B_x)_k` across DP widths.
+    Width,
 }
 
-impl SweepJob {
-    /// The job's stable id — the line format used in checkpoint files,
-    /// so it must be newline-free and never end with `.`.
-    pub fn id(&self) -> String {
-        format!(
-            "{}:{}:m{}n{}k{}",
-            pacq_cache::arch_token(self.arch),
-            pacq_cache::precision_token(self.workload.precision),
-            self.workload.shape.m,
-            self.workload.shape.n,
-            self.workload.shape.k
-        )
-    }
-}
-
-/// A fully enumerated sweep grid with a content digest binding
-/// checkpoints to it.
-#[derive(Debug, Clone)]
-pub struct SweepPlan {
-    jobs: Vec<SweepJob>,
-}
-
-impl SweepPlan {
-    /// Builds a plan over an explicit job list (order is significant:
-    /// it defines job indices for sharding and row order in results).
-    pub fn new(jobs: Vec<SweepJob>) -> SweepPlan {
-        SweepPlan { jobs }
+impl SweepArm {
+    /// Parses the bare `--param` name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PacqError::Usage`] for any other name.
+    pub fn parse(name: &str) -> PacqResult<SweepArm> {
+        match name {
+            "grid" => Ok(SweepArm::Grid),
+            "batch" => Ok(SweepArm::Batch),
+            "dup" => Ok(SweepArm::Dup),
+            "width" => Ok(SweepArm::Width),
+            other => Err(PacqError::usage(format!(
+                "unknown sweep parameter `{other}`"
+            ))),
+        }
     }
 
-    /// The `--param grid` plan over an `n×k` layer: batch sizes
-    /// {16, 32, 64, 128, 256, 512} × three architectures × two weight
-    /// precisions, in that nesting order.
-    pub fn batch_grid(n: usize, k: usize) -> SweepPlan {
-        let mut jobs = Vec::new();
-        for &m in &[16usize, 32, 64, 128, 256, 512] {
-            for &arch in &[
-                Architecture::StandardDequant,
-                Architecture::PackedK,
-                Architecture::Pacq,
-            ] {
-                for &precision in &[WeightPrecision::Int4, WeightPrecision::Int2] {
-                    jobs.push(SweepJob {
-                        arch,
-                        workload: Workload::new(pacq_simt::GemmShape::new(m, n, k), precision),
-                    });
+    /// The arm's preset over `base`'s own width, dup and group geometry.
+    /// `grid` walks both precisions; the other arms price `precision`,
+    /// and `dup`/`width` only the shape's own batch.
+    pub fn axes(self, base: &GemmRunner, shape: GemmShape, precision: WeightPrecision) -> DseAxes {
+        let cfg = base.config();
+        let mut axes = DseAxes::defaults(cfg.dp_width, cfg.adder_tree_duplication, base.group());
+        match self {
+            SweepArm::Grid => return axes,
+            SweepArm::Batch => {
+                axes.arch = vec![Architecture::StandardDequant, Architecture::Pacq];
+            }
+            SweepArm::Dup => {
+                axes.batch = vec![shape.m];
+                axes.arch = vec![Architecture::Pacq];
+                axes.dup = vec![1, 2, 4];
+            }
+            SweepArm::Width => {
+                axes.batch = vec![shape.m];
+                axes.arch = vec![Architecture::Pacq, Architecture::PackedK];
+                axes.width = vec![4, 8, 16];
+            }
+        }
+        axes.precision = vec![precision];
+        axes
+    }
+
+    /// Renders the arm's table over a [`crate::dse::run_dse`] outcome of
+    /// its preset; `shard` labels the grid's tally line.
+    pub fn render(self, outcome: &DseOutcome, shard: Shard) -> String {
+        let mut out = String::new();
+        // Only the grid arm resumes from checkpoints, so the other arms
+        // always see a report on every row.
+        let priced: Vec<(&EvalPoint, &GemmReport)> = outcome
+            .rows
+            .iter()
+            .filter_map(|r| r.report.as_ref().map(|rep| (&r.job, rep)))
+            .collect();
+        match self {
+            // Rows print in grid order; points other shards own are
+            // omitted, checkpointed ones print as `done (resumed)`.
+            SweepArm::Grid => {
+                let _ = writeln!(
+                    out,
+                    "{:<24} {:>14} {:>14} {:>14}",
+                    "job", "cycles", "energy (uJ)", "EDP (pJ*s)"
+                );
+                for row in &outcome.rows {
+                    let s = row.job.workload.shape;
+                    let id = format!(
+                        "{}:{}:m{}n{}k{}",
+                        arch_token(row.job.arch),
+                        precision_token(row.job.workload.precision),
+                        s.m,
+                        s.n,
+                        s.k
+                    );
+                    match &row.report {
+                        Some(r) => {
+                            let _ = writeln!(
+                                out,
+                                "{id:<24} {:>14} {:>14.2} {:>14.6}",
+                                r.stats.total_cycles,
+                                r.total_energy_pj() / 1e6,
+                                r.edp_pj_s,
+                            );
+                        }
+                        None => {
+                            let _ = writeln!(out, "{id:<24} {:>14}", "done (resumed)");
+                        }
+                    }
+                }
+                let t = outcome.tally;
+                let _ = writeln!(
+                    out,
+                    "grid: {} jobs, shard {shard} selected {}, resumed {}, executed {}",
+                    t.total, t.selected, t.skipped, t.executed
+                );
+            }
+            SweepArm::Batch => {
+                let _ = writeln!(
+                    out,
+                    "{:<8} {:>14} {:>14} {:>14}",
+                    "batch", "PacQ cycles", "speedup v std", "EDP reduction"
+                );
+                for pair in priced.chunks(2) {
+                    let [(_, std), (_, pq)] = pair else {
+                        // chunks(2) over (std, pacq) pairs always yields pairs.
+                        continue;
+                    };
+                    let _ = writeln!(
+                        out,
+                        "{:<8} {:>14} {:>13.2}x {:>13.1}%",
+                        pq.workload.shape.m,
+                        pq.stats.total_cycles,
+                        pq.speedup_over(std),
+                        100.0 * (1.0 - pq.edp_normalized_to(std)),
+                    );
+                }
+            }
+            SweepArm::Dup => {
+                let _ = writeln!(
+                    out,
+                    "{:<6} {:>14} {:>16}",
+                    "dup", "PacQ cycles", "TC power (units)"
+                );
+                for (point, r) in &priced {
+                    let unit = pacq_energy::GemmUnit::ParallelDp {
+                        width: point.width,
+                        duplication: point.dup,
+                    };
+                    let _ = writeln!(
+                        out,
+                        "{:<6} {:>14} {:>16.2}",
+                        point.dup,
+                        r.stats.total_cycles,
+                        unit.power_units()
+                    );
+                }
+            }
+            SweepArm::Width => {
+                let _ = writeln!(
+                    out,
+                    "{:<8} {:>14} {:>14}",
+                    "width", "PacQ cycles", "P(B)k cycles"
+                );
+                // The arch axis is outermost: PacQ's widths, then P(B)k's.
+                let (pacq, packedk) = priced.split_at(priced.len() / 2);
+                for ((point, pq), (_, pk)) in pacq.iter().zip(packedk) {
+                    let _ = writeln!(
+                        out,
+                        "DP-{:<5} {:>14} {:>14}",
+                        point.width, pq.stats.total_cycles, pk.stats.total_cycles
+                    );
                 }
             }
         }
-        SweepPlan { jobs }
+        out
     }
-
-    /// [`SweepPlan::batch_grid`] over the Llama2-7B FFN projection
-    /// (n = k = 4096).
-    pub fn default_grid() -> SweepPlan {
-        SweepPlan::batch_grid(4096, 4096)
-    }
-
-    /// The grid's jobs in index order.
-    pub fn jobs(&self) -> &[SweepJob] {
-        &self.jobs
-    }
-
-    /// A digest over every job id, binding checkpoint files to exactly
-    /// this grid (any change in contents *or order* changes the digest).
-    pub fn digest(&self) -> String {
-        let ids: Vec<String> = self.jobs.iter().map(SweepJob::id).collect();
-        grid_digest(&ids.join("\n"))
-    }
-
-    /// The digest a checkpoint file is bound to: the grid digest plus
-    /// the full provenance of the runner executing it
-    /// ([`GemmRunner::provenance`] — machine configuration, group
-    /// geometry, numerics mode, architecture template identity and
-    /// compute backend).
-    ///
-    /// [`SweepPlan::digest`] alone only covers job ids, so a checkpoint
-    /// written under one machine could silently satisfy a resume under
-    /// another (different `--dup`, an edited template, a different
-    /// backend) — the resumed run would skip every job and splice rows
-    /// priced by two different machines into one table. Binding the
-    /// runner makes that a typed [`pacq_error::PacqError::InvalidInput`]
-    /// at open time instead.
-    pub fn binding_digest(&self, runner: &GemmRunner) -> String {
-        grid_digest(&format!(
-            "{grid}\n{provenance}",
-            grid = self.digest(),
-            provenance = runner.provenance()
-        ))
-    }
-}
-
-/// One completed (or skipped) row of a sweep run.
-#[derive(Debug, Clone)]
-pub struct SweepRow {
-    /// The job this row answers.
-    pub job: SweepJob,
-    /// The report, or `None` when the job was already checkpointed as
-    /// done and no attached `--cache` store still holds its report
-    /// (skipped jobs are rehydrated from the cache when possible, so
-    /// summaries over a resumed run stay complete).
-    pub report: Option<GemmReport>,
-}
-
-/// Aggregate accounting for one sweep invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SweepTally {
-    /// Jobs in the full grid.
-    pub total: usize,
-    /// Jobs this shard owns.
-    pub selected: usize,
-    /// Owned jobs skipped because the checkpoint already records them.
-    pub skipped: usize,
-    /// Owned jobs actually analyzed this run.
-    pub executed: usize,
-}
-
-/// The result of [`run_sweep`]: per-job rows (in grid order, restricted
-/// to this shard's jobs) plus the tally.
-#[derive(Debug, Clone)]
-pub struct SweepOutcome {
-    /// This shard's rows, in grid order.
-    pub rows: Vec<SweepRow>,
-    /// Selection/skip/execution accounting.
-    pub tally: SweepTally,
-}
-
-/// Runs `plan` through `runner`, honoring the shard slice and, when
-/// given, the resume checkpoint. Executed jobs fan out on the rayon
-/// pool; rows return in grid order. Each completed job is appended to
-/// the checkpoint before the run returns, so an interrupt after this
-/// function loses nothing.
-///
-/// # Errors
-///
-/// Returns the first failing job's error in grid order (no partial
-/// outcome), or a checkpoint I/O error.
-pub fn run_sweep(
-    runner: &GemmRunner,
-    plan: &SweepPlan,
-    shard: Shard,
-    checkpoint: Option<&SweepCheckpoint>,
-) -> PacqResult<SweepOutcome> {
-    let _span = pacq_trace::span("core.sweep");
-    let mut tally = SweepTally {
-        total: plan.jobs().len(),
-        ..SweepTally::default()
-    };
-
-    // Partition up front: selection and checkpoint lookup are cheap and
-    // sequential; only analysis fans out.
-    let mut skipped_rows = Vec::new();
-    let mut to_run = Vec::new();
-    for (index, job) in plan.jobs().iter().enumerate() {
-        if !shard.selects(index) {
-            continue;
-        }
-        tally.selected += 1;
-        let done = checkpoint.is_some_and(|c| c.is_done(&job.id()));
-        if done {
-            tally.skipped += 1;
-            // The first pass usually left the report in the --cache
-            // store; rehydrate rather than losing the row's numbers.
-            let report = runner.cached_report(job.arch, job.workload);
-            skipped_rows.push((index, SweepRow { job: *job, report }));
-        } else {
-            tally.executed += 1;
-            to_run.push((index, *job));
-        }
-    }
-
-    let reports: Vec<PacqResult<(usize, SweepRow)>> = to_run
-        .into_par_iter()
-        .map(|(index, job)| {
-            let report = runner.analyze(job.arch, job.workload)?;
-            if let Some(c) = checkpoint {
-                c.mark_done(&job.id())?;
-            }
-            Ok((
-                index,
-                SweepRow {
-                    job,
-                    report: Some(report),
-                },
-            ))
-        })
-        .collect();
-
-    let mut rows = reports
-        .into_iter()
-        .collect::<PacqResult<Vec<(usize, SweepRow)>>>()?;
-    rows.extend(skipped_rows);
-    rows.sort_by_key(|(index, _)| *index);
-
-    pacq_trace::add_counter("sweep.jobs.total", tally.total as u64);
-    pacq_trace::add_counter("sweep.jobs.selected", tally.selected as u64);
-    pacq_trace::add_counter("sweep.jobs.skipped", tally.skipped as u64);
-    pacq_trace::add_counter("sweep.jobs.executed", tally.executed as u64);
-
-    Ok(SweepOutcome {
-        rows: rows.into_iter().map(|(_, row)| row).collect(),
-        tally,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dse::{run_dse, DsePlan};
+    use pacq_cache::SweepCheckpoint;
+
+    /// The `grid` preset over an n = k = 256 layer on `base`.
+    fn grid(base: &GemmRunner) -> DsePlan {
+        let shape = GemmShape::new(16, 256, 256);
+        DsePlan::enumerate(
+            &SweepArm::Grid.axes(base, shape, WeightPrecision::Int4),
+            256,
+            256,
+        )
+    }
 
     #[test]
     fn default_grid_is_deterministic_and_fully_enumerated() {
-        let a = SweepPlan::batch_grid(256, 256);
-        let b = SweepPlan::batch_grid(256, 256);
+        let a = grid(&GemmRunner::new());
+        let b = grid(&GemmRunner::new());
         assert_eq!(a.jobs().len(), 6 * 3 * 2);
         assert_eq!(a.digest(), b.digest());
         // Ids are unique (they double as checkpoint records).
-        let mut ids: Vec<String> = a.jobs().iter().map(SweepJob::id).collect();
+        let mut ids: Vec<String> = a.jobs().iter().map(EvalPoint::id).collect();
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), a.jobs().len());
@@ -265,28 +230,44 @@ mod tests {
 
     #[test]
     fn digest_is_order_sensitive() {
-        let grid = SweepPlan::batch_grid(256, 256);
-        let mut reversed = grid.jobs().to_vec();
-        reversed.reverse();
-        assert_ne!(grid.digest(), SweepPlan::new(reversed).digest());
+        // The same point set enumerated in another order is another grid:
+        // point indices (shards) and row order both move with it.
+        let base = GemmRunner::new();
+        let shape = GemmShape::new(16, 256, 256);
+        let mut axes = SweepArm::Grid.axes(&base, shape, WeightPrecision::Int4);
+        let forward = DsePlan::enumerate(&axes, 256, 256);
+        axes.batch.reverse();
+        axes.arch.reverse();
+        let reversed = DsePlan::enumerate(&axes, 256, 256);
+        let mut a: Vec<String> = forward.jobs().iter().map(EvalPoint::id).collect();
+        let mut b: Vec<String> = reversed.jobs().iter().map(EvalPoint::id).collect();
+        assert_ne!(a, b);
+        a.sort();
+        b.sort();
+        assert_eq!(a, b, "same point set");
+        assert_ne!(forward.digest(), reversed.digest());
+        assert_ne!(
+            forward.binding_digest(&base),
+            reversed.binding_digest(&base)
+        );
     }
 
     #[test]
     fn shards_partition_and_reunite_the_grid() {
-        let plan = SweepPlan::batch_grid(256, 256);
         let runner = GemmRunner::new();
-        let full = run_sweep(&runner, &plan, Shard::FULL, None).unwrap();
+        let plan = grid(&runner);
+        let full = run_dse(&runner, &plan, Shard::FULL, None).unwrap();
         assert_eq!(full.tally.executed, plan.jobs().len());
 
         let n = 3;
         let mut union: Vec<String> = Vec::new();
         for i in 1..=n {
             let shard = Shard { index: i, count: n };
-            let out = run_sweep(&runner, &plan, shard, None).unwrap();
+            let out = run_dse(&runner, &plan, shard, None).unwrap();
             assert_eq!(out.tally.selected, out.tally.executed);
             union.extend(out.rows.iter().map(|r| r.job.id()));
         }
-        let mut expected: Vec<String> = plan.jobs().iter().map(SweepJob::id).collect();
+        let mut expected: Vec<String> = plan.jobs().iter().map(EvalPoint::id).collect();
         union.sort();
         expected.sort();
         assert_eq!(union, expected, "shards must union to the full grid");
@@ -297,20 +278,23 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("pacq-sweep-resume-{}.ckpt", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let plan = SweepPlan::batch_grid(256, 256);
         let runner = GemmRunner::new();
+        let plan = grid(&runner);
 
         let first = {
             let ckpt = SweepCheckpoint::open(&path, &plan.binding_digest(&runner)).unwrap();
-            run_sweep(&runner, &plan, Shard::FULL, Some(&ckpt)).unwrap()
+            run_dse(&runner, &plan, Shard::FULL, Some(&ckpt)).unwrap()
         };
         assert_eq!(first.tally.executed, plan.jobs().len());
 
         let ckpt = SweepCheckpoint::open(&path, &plan.binding_digest(&runner)).unwrap();
-        let second = run_sweep(&runner, &plan, Shard::FULL, Some(&ckpt)).unwrap();
+        let second = run_dse(&runner, &plan, Shard::FULL, Some(&ckpt)).unwrap();
         assert_eq!(second.tally.executed, 0);
         assert_eq!(second.tally.skipped, plan.jobs().len());
         assert!(second.rows.iter().all(|r| r.report.is_none()));
+        // The grid table marks every resumed row.
+        let table = SweepArm::Grid.render(&second, Shard::FULL);
+        assert_eq!(table.matches("done (resumed)").count(), plan.jobs().len());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -323,15 +307,15 @@ mod tests {
             std::env::temp_dir().join(format!("pacq-sweep-rehydrate-{}.ckpt", std::process::id()));
         let _ = std::fs::remove_file(&path);
 
-        let plan = SweepPlan::batch_grid(256, 256);
         let cache = Arc::new(pacq_cache::ReportCache::open(&dir).unwrap());
         let runner = GemmRunner::new().with_cache(Arc::clone(&cache));
+        let plan = grid(&runner);
         let first = {
             let ckpt = SweepCheckpoint::open(&path, &plan.binding_digest(&runner)).unwrap();
-            run_sweep(&runner, &plan, Shard::FULL, Some(&ckpt)).unwrap()
+            run_dse(&runner, &plan, Shard::FULL, Some(&ckpt)).unwrap()
         };
         let ckpt = SweepCheckpoint::open(&path, &plan.binding_digest(&runner)).unwrap();
-        let second = run_sweep(&runner, &plan, Shard::FULL, Some(&ckpt)).unwrap();
+        let second = run_dse(&runner, &plan, Shard::FULL, Some(&ckpt)).unwrap();
         assert_eq!(second.tally.executed, 0);
         assert_eq!(second.tally.skipped, plan.jobs().len());
         for (f, s) in first.rows.iter().zip(&second.rows) {
@@ -348,13 +332,13 @@ mod tests {
         // The checkpoint-binding regression: a checkpoint written under
         // one (grid × machine × template × backend) must refuse to
         // resume under any other, with a typed error — not silently
-        // skip jobs priced by a different machine.
+        // skip points priced by a different machine.
         use pacq_fp16::Backend;
         let path =
             std::env::temp_dir().join(format!("pacq-sweep-binding-{}.ckpt", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let plan = SweepPlan::batch_grid(256, 256);
         let runner = GemmRunner::new();
+        let plan = grid(&runner);
         drop(SweepCheckpoint::open(&path, &plan.binding_digest(&runner)).unwrap());
 
         let variants = [
@@ -374,8 +358,43 @@ mod tests {
         }
 
         // And a different grid over the same runner also refuses.
-        let other_grid = SweepPlan::batch_grid(512, 512);
+        let other_grid = DsePlan::enumerate(
+            &SweepArm::Grid.axes(&runner, GemmShape::new(16, 512, 512), WeightPrecision::Int4),
+            512,
+            512,
+        );
         assert!(SweepCheckpoint::open(&path, &other_grid.binding_digest(&runner)).is_err());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checkpoints_bound_to_the_retired_sweep_ids_are_refused() {
+        // `sweep --param grid --shape m16n256k256 --checkpoint F` used to
+        // bind F to a digest over `arch:precision:mMnNkK` job ids. The
+        // binding now covers EvalPoint ids, so such a file is a typed
+        // exit-4 mismatch, never a silent resume.
+        let path =
+            std::env::temp_dir().join(format!("pacq-sweep-retired-{}.ckpt", std::process::id()));
+        std::fs::write(
+            &path,
+            "pacq-sweep-checkpoint/v1 1b4f15ed5c61779f3fc909d9325b3eae\nstd:int4:m16n256k256.\n",
+        )
+        .unwrap();
+        let args: Vec<String> = [
+            "sweep",
+            "--param",
+            "grid",
+            "--shape",
+            "m16n256k256",
+            "--checkpoint",
+            path.to_str().unwrap(),
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let err = crate::cli::run(&args).unwrap_err();
+        assert_eq!(err.exit_code(), 4, "{err}");
+        assert!(err.to_string().contains("different run"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -428,6 +428,13 @@ fn cli_malformed_shape_has_usage_exit_code() {
         "analyze --shape m15n16k16",
         "analyze --shape garbage",
         "sweep --param chaos --shape m16n16k16",
+        // Flags a sweep arm overrides are refused, not silently ignored.
+        "sweep --param grid --arch std --shape m16n16k16",
+        "sweep --param batch --arch pacq --shape m16n16k16",
+        "sweep --param dup --arch pacq --shape m16n16k16",
+        "sweep --param width --arch packedk --shape m16n16k16",
+        "sweep --param dup --dup 4 --shape m16n16k16",
+        "sweep --param width --width 16 --shape m16n16k16",
     ] {
         let err = cli::run(&argv(cmd)).unwrap_err();
         assert!(err.is_usage(), "{cmd}: {err}");

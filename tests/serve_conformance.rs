@@ -55,8 +55,9 @@ fn random_case(rng: &mut TestRng) -> Case {
     let (arch, arch_token) = [
         (Architecture::StandardDequant, "std"),
         (Architecture::PackedK, "packedk"),
+        (Architecture::InputStationary, "is"),
         (Architecture::Pacq, "pacq"),
-    ][rng.index(3)];
+    ][rng.index(4)];
     let (precision, precision_token) = [
         (WeightPrecision::Int4, "int4"),
         (WeightPrecision::Int2, "int2"),
