@@ -22,7 +22,7 @@ fn run() -> pacq::PacqResult<()> {
         "dequant overhead dominates at small batch and amortizes at large batch",
     );
 
-    let runner = metrics.runner()?;
+    let runner = metrics.globals.runner()?;
     println!(
         "\n{:<8} {:>14} {:>14} {:>16} {:>16}",
         "batch", "std dequant %", "speedup v std", "speedup v P(B)k", "EDP reduction"

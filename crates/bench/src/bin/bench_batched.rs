@@ -15,7 +15,11 @@
 //! flags; the pool is pinned to one worker during timing so the ratio
 //! measures the kernels, not the scheduler).
 
-use pacq::{Architecture, Backend, GemmRunner, GroupShape, NumericsMode, PacqError, PacqResult};
+use pacq::flags::Flag;
+use pacq::{
+    arch_token, precision_token, Architecture, Backend, GemmRunner, GroupShape, NumericsMode,
+    PacqError, PacqResult,
+};
 use pacq_bench::{banner, times};
 use pacq_fp16::WeightPrecision;
 use pacq_quant::synth::SynthGenerator;
@@ -46,31 +50,13 @@ impl Row {
     }
 }
 
-/// The short CLI token for an architecture (`--arch` vocabulary).
-fn arch_token(arch: Architecture) -> &'static str {
-    match arch {
-        Architecture::Pacq => "pacq",
-        Architecture::PackedK => "packedk",
-        Architecture::StandardDequant => "std",
-        Architecture::InputStationary => "is",
-    }
-}
-
-/// The short CLI token for a weight precision (`--precision` vocabulary).
-fn precision_token(precision: WeightPrecision) -> &'static str {
-    match precision {
-        WeightPrecision::Int4 => "int4",
-        WeightPrecision::Int2 => "int2",
-    }
-}
-
 fn run() -> PacqResult<()> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (argv, label) = take_value_flag(&argv, "--label")?;
-    let (argv, out) = take_value_flag(&argv, "--out")?;
-    let label = label.unwrap_or_else(|| "dev".to_string());
-    let out = out.unwrap_or_else(|| "BENCH_batched.json".to_string());
-    let metrics = pacq_bench::init_filtered("bench_batched", &argv)?;
+    let (metrics, flags) = pacq_bench::init_with(
+        "bench_batched",
+        &[Flag::Value("--label"), Flag::Value("--out")],
+    )?;
+    let label = flags.value("--label").unwrap_or("dev");
+    let out = flags.value("--out").unwrap_or("BENCH_batched.json");
     banner(
         "bench_batched",
         "scalar vs batched backend wall time on the Llama decode grid",
@@ -144,7 +130,7 @@ fn run() -> PacqResult<()> {
         rows.len()
     );
 
-    append_point(&out, &label, geomean, min, &rows)?;
+    append_point(out, label, geomean, min, &rows)?;
     println!("appended trajectory point `{label}` -> {out}");
     metrics.finish()?;
     Ok(())
@@ -200,26 +186,6 @@ fn check_bits(
 fn geomean_speedup(rows: &[Row]) -> f64 {
     let log_sum: f64 = rows.iter().map(|r| r.speedup().ln()).sum();
     (log_sum / rows.len().max(1) as f64).exp()
-}
-
-/// Extracts `flag VALUE` / `flag=VALUE` from the argument list.
-fn take_value_flag(args: &[String], flag: &str) -> PacqResult<(Vec<String>, Option<String>)> {
-    let mut rest = Vec::new();
-    let mut value = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == flag {
-            let v = it
-                .next()
-                .ok_or_else(|| PacqError::usage(format!("missing value for {flag}")))?;
-            value = Some(v.clone());
-        } else if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-            value = Some(v.to_string());
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    Ok((rest, value))
 }
 
 /// Parses the existing trajectory file (if any), appends one point, and

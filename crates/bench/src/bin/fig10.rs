@@ -18,7 +18,7 @@ fn run() -> pacq::PacqResult<()> {
         "up to 81.4% EDP reduction at m16n4096k4096",
     );
 
-    let runner = metrics.runner()?;
+    let runner = metrics.globals.runner()?;
     let shapes = [
         GemmShape::new(16, 4096, 4096), // attention projection / paper headline
         GemmShape::new(16, 11008, 4096), // FFN up projection

@@ -1,7 +1,7 @@
 //! Figure 11: ablation on the adder-tree duplication level of the
 //! parallel FP-INT DP-4 (throughput / watt on `m16n16k16`).
 
-use pacq::{Architecture, GemmShape, GroupShape, SmConfig, Workload};
+use pacq::{Architecture, GemmShape, GroupShape, Workload};
 use pacq_bench::{banner, times};
 use pacq_energy::GemmUnit;
 use pacq_fp16::WeightPrecision;
@@ -28,14 +28,10 @@ fn run() -> pacq::PacqResult<()> {
         let mut prev: Option<f64> = None;
         let mut first: Option<f64> = None;
         for dup in [1usize, 2, 4] {
-            let mut cfg = metrics
-                .template()
-                .map_or_else(SmConfig::volta_like, pacq::ArchTemplate::sm_config);
+            let base = metrics.globals.runner()?;
+            let mut cfg = *base.config();
             cfg.adder_tree_duplication = dup;
-            let runner = metrics
-                .runner()?
-                .with_config(cfg)
-                .with_group(GroupShape::along_k(16));
+            let runner = base.with_config(cfg).with_group(GroupShape::along_k(16));
             let r = runner.analyze(Architecture::Pacq, Workload::new(shape, precision))?;
             let power = GemmUnit::ParallelDp {
                 width: 4,

@@ -2,7 +2,7 @@
 //! (b) comparison with Mix-GEMM (binary segmentation), both on
 //! `m16n16k16` in throughput per watt.
 
-use pacq::{Architecture, GemmShape, GroupShape, SmConfig, Workload};
+use pacq::{Architecture, GemmShape, GroupShape, Workload};
 use pacq_bench::{banner, times};
 use pacq_energy::GemmUnit;
 use pacq_fp16::WeightPrecision;
@@ -31,14 +31,10 @@ fn run() -> pacq::PacqResult<()> {
     );
     let shape = GemmShape::new(16, 256, 256);
     for width in [4usize, 8, 16] {
-        let mut cfg = metrics
-            .template()
-            .map_or_else(SmConfig::volta_like, pacq::ArchTemplate::sm_config);
+        let runner = metrics.globals.runner()?;
+        let mut cfg = *runner.config();
         cfg.dp_width = width;
-        let runner = metrics
-            .runner()?
-            .with_config(cfg)
-            .with_group(GroupShape::G128);
+        let runner = runner.with_config(cfg).with_group(GroupShape::G128);
         let wl = Workload::new(shape, WeightPrecision::Int4);
         let base = runner.analyze(Architecture::PackedK, wl)?;
         let pacq = runner.analyze(Architecture::Pacq, wl)?;

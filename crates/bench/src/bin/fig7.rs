@@ -19,7 +19,10 @@ fn run() -> pacq::PacqResult<()> {
     );
 
     // k=16 here, so the (k-grouped) scales span the whole reduction.
-    let runner = metrics.runner()?.with_group(GroupShape::along_k(16));
+    let runner = metrics
+        .globals
+        .runner()?
+        .with_group(GroupShape::along_k(16));
     let shape = GemmShape::M16N16K16;
 
     println!(

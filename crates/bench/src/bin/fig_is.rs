@@ -36,7 +36,7 @@ fn run() -> pacq::PacqResult<()> {
         "input-stationarity ends the A-refetch pathology; PacQ still needs the packed datapath",
     );
 
-    let runner = metrics.runner()?;
+    let runner = metrics.globals.runner()?;
     let shapes = [
         GemmShape::new(16, 4096, 4096),  // attention projection
         GemmShape::new(16, 11008, 4096), // FFN up projection

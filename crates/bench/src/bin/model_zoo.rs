@@ -19,7 +19,7 @@ fn run() -> pacq::PacqResult<()> {
         "Figure 10 generalized: PacQ's EDP win holds across model scales",
     );
 
-    let runner = metrics.runner()?;
+    let runner = metrics.globals.runner()?;
     println!(
         "\n{:<12} {:<8} {:>14} {:>14} {:>14} {:>12} {:>14}",
         "model", "weights", "std cycles", "P(B)k cycles", "PacQ cycles", "speedup", "EDP reduction"

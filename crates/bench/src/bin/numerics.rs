@@ -49,7 +49,7 @@ fn run() -> pacq::PacqResult<()> {
                     GemmRunner::new()
                         .with_group(group)
                         .with_numerics(mode)
-                        .with_cache_opt(metrics.cache())
+                        .with_cache_opt(metrics.globals.cache.clone())
                 };
 
                 let p_n =

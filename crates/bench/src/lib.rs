@@ -8,133 +8,59 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Applies the shared `--jobs N` / `PACQ_JOBS` knob for a figure/table
-/// binary: reads the process arguments, installs the worker count, and
-/// returns the effective value. Sweep results are bit-identical at any
-/// setting — the knob only changes wall-clock time.
-///
-/// A malformed or zero worker count is a usage error ([`pacq::PacqError`] with
-/// exit code 2), not a silently-ignored warning: a typo'd `--jobs` must
-/// not quietly run a multi-hour sweep on the wrong pool size.
-pub fn init_jobs() -> pacq::PacqResult<usize> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (_, jobs) = pacq::par::take_jobs_flag(&args)?;
-    let env_jobs = pacq::par::validated_env_jobs()?;
-    Ok(pacq::par::configure_jobs(jobs.or(env_jobs)))
-}
-
-/// Run-manifest handle for a figure/table binary: [`init`] arms the
-/// process-wide observability collector when `--metrics PATH` is on the
-/// command line, and [`Metrics::finish`] drains it into a schema-valid
-/// `pacq-metrics/v1` manifest at that path (DESIGN.md §11). Without the
-/// flag both are no-ops, so instrumentation stays zero-cost.
+/// Run-manifest handle for a figure/table binary: [`init`] resolves the
+/// global flags (`--metrics`, `--cache`, `--arch-template`, `--jobs`,
+/// `--backend`; see [`pacq::cli::GLOBAL_FLAGS`]), and
+/// [`Metrics::finish`] drains the observability collector into a
+/// schema-valid `pacq-metrics/v1` manifest when `--metrics PATH` was
+/// given (DESIGN.md §11). Without the flag both are no-ops, so
+/// instrumentation stays zero-cost.
 #[must_use = "call .finish() at the end of the figure body to write the manifest"]
 pub struct Metrics {
     binary: &'static str,
-    args: Vec<String>,
-    jobs: usize,
-    backend: pacq::Backend,
-    path: Option<String>,
-    cache: Option<std::sync::Arc<pacq::ReportCache>>,
-    template: Option<pacq::ArchTemplate>,
+    /// The run's resolved global flags: [`pacq::cli::Globals::runner`]
+    /// is the base runner (cache, backend and `--arch-template` machine
+    /// attached) every figure prices through.
+    pub globals: pacq::cli::Globals,
 }
 
-/// Applies the shared `--jobs` / `--metrics` / `--cache` flags for a
-/// figure/table binary (superset of [`init_jobs`]) and returns the
-/// manifest handle.
+/// Parses the process arguments strictly: the global flags plus none of
+/// its own (see [`init_with`]).
 ///
 /// # Errors
 ///
-/// Returns a usage error ([`pacq::PacqError`], exit code 2) for a
-/// malformed or zero worker count or a `--metrics`/`--cache` flag
-/// without a value, and an I/O error (exit code 6) when the cache
-/// directory cannot be created.
+/// Same conditions as [`init_with`].
 pub fn init(binary: &'static str) -> pacq::PacqResult<Metrics> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    init_filtered(binary, &argv)
+    init_with(binary, &[]).map(|(metrics, _)| metrics)
 }
 
-/// [`init`] for binaries that strip their own flags first: applies the
-/// shared `--jobs` / `--metrics` / `--cache` / `--backend` /
-/// `--arch-template` flags from the given argument list instead of
-/// re-reading the process arguments.
+/// Parses the process arguments strictly against the global flags plus
+/// the binary's own `table`, installs the worker count, and returns the
+/// manifest handle with the binary's flags. Any other argument is a
+/// usage error: a typo'd flag must not silently run the default figure.
+/// `--hot` is one too: the memory tier is for long-lived `pacq` runs.
 ///
 /// # Errors
 ///
-/// Same conditions as [`init`], plus template errors (exit code 9)
-/// when `--arch-template` names a file that does not validate.
-pub fn init_filtered(binary: &'static str, argv: &[String]) -> pacq::PacqResult<Metrics> {
-    let (args, path) = pacq::cli::take_metrics_flag(argv)?;
-    let (args, cache_dir) = pacq::cli::take_cache_flag(&args)?;
-    let (args, jobs) = pacq::par::take_jobs_flag(&args)?;
-    let (args, backend_flag) = pacq::backend::take_backend_flag(&args)?;
-    let (args, template_path) = pacq::cli::take_arch_template_flag(&args)?;
-    let template = match &template_path {
-        Some(p) => Some(pacq::cli::load_arch_template(p)?),
-        None => None,
-    };
-    let backend = pacq::backend::resolve_backend(backend_flag)?;
-    let env_jobs = pacq::par::validated_env_jobs()?;
-    let jobs = pacq::par::configure_jobs(jobs.or(env_jobs));
-    if path.is_some() {
-        pacq_trace::enable();
-    }
-    let cache = match cache_dir {
-        Some(dir) => Some(std::sync::Arc::new(pacq::ReportCache::open(dir)?)),
-        None => None,
-    };
-    Ok(Metrics {
-        binary,
-        args,
-        jobs,
-        backend,
-        path,
-        cache,
-        template,
-    })
+/// Returns a usage error ([`pacq::PacqError`], exit code 2) for an
+/// unknown, repeated or value-less flag or a malformed value, an I/O
+/// error (exit code 6) when the cache directory cannot be created, and
+/// a template error (exit code 9) when `--arch-template` names a file
+/// that does not validate.
+pub fn init_with(
+    binary: &'static str,
+    table: &[pacq::flags::Flag],
+) -> pacq::PacqResult<(Metrics, pacq::flags::Args)> {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let hot = pacq::flags::Flag::Refused("--hot", "the memory tier is a `pacq` flag");
+    pacq::flags::take(&argv, &[hot])?;
+    let (mut globals, rest) = pacq::cli::Globals::take(&argv)?;
+    let flags = pacq::flags::parse(&rest, table, binary)?;
+    globals.jobs = Some(pacq::par::configure_jobs(globals.jobs));
+    Ok((Metrics { binary, globals }, flags))
 }
 
 impl Metrics {
-    /// The report cache to attach to runners (`--cache DIR`), if any.
-    pub fn cache(&self) -> Option<std::sync::Arc<pacq::ReportCache>> {
-        self.cache.clone()
-    }
-
-    /// The functional compute backend this run selected
-    /// (`--backend` / `PACQ_BACKEND`, default scalar). Attach it to
-    /// runners with [`pacq::GemmRunner::with_backend`].
-    pub fn backend(&self) -> pacq::Backend {
-        self.backend
-    }
-
-    /// The validated `--arch-template` design point, if one was named.
-    pub fn template(&self) -> Option<&pacq::ArchTemplate> {
-        self.template.as_ref()
-    }
-
-    /// A [`pacq::GemmRunner`] carrying every shared knob of this run:
-    /// the `--cache` store, the `--backend` selection, and — when
-    /// `--arch-template` was given — the template's machine, energy
-    /// model, and content digest (so cached results are keyed to the
-    /// template, DESIGN.md §18).
-    ///
-    /// # Errors
-    ///
-    /// Returns a template error (exit code 9) when the template's
-    /// energy model cannot be derived.
-    pub fn runner(&self) -> pacq::PacqResult<pacq::GemmRunner> {
-        let mut runner = pacq::GemmRunner::new()
-            .with_cache_opt(self.cache())
-            .with_backend(self.backend);
-        if let Some(t) = &self.template {
-            runner = runner
-                .with_config(t.sm_config())
-                .with_energy_model(t.energy_model()?)
-                .with_template_digest(t.digest());
-        }
-        Ok(runner)
-    }
-
     /// Writes the run manifest if `--metrics` was requested, draining
     /// the collector either way, and prints the cache session tallies
     /// when a store was attached.
@@ -144,20 +70,10 @@ impl Metrics {
     /// Returns [`pacq::PacqError::Io`] (exit code 6) when the manifest
     /// cannot be written.
     pub fn finish(self) -> pacq::PacqResult<()> {
-        if let Some(cache) = &self.cache {
+        if let Some(cache) = &self.globals.cache {
             println!("\ncache: {} hits, {} misses", cache.hits(), cache.misses());
         }
-        if let Some(path) = &self.path {
-            let mut manifest = pacq_trace::RunManifest::new(self.binary, &self.args);
-            manifest = manifest
-                .with_jobs(self.jobs)
-                .with_effective_jobs(rayon::current_num_threads())
-                .with_backend(self.backend.token());
-            if let Some(t) = &self.template {
-                manifest = manifest.with_arch_template(t.digest());
-            }
-            manifest.gather();
-            pacq_trace::disable();
+        if let Some((manifest, path)) = self.globals.manifest(self.binary, &[]) {
             manifest.write_to(path)?;
             println!("\nwrote metrics manifest -> {path}");
         }

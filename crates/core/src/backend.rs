@@ -17,7 +17,7 @@ pub const BACKEND_ENV: &str = "PACQ_BACKEND";
 /// token must match a backend name exactly (case-sensitive — `Scalar`
 /// is a typo, not a backend). `source` names the spelling in the error
 /// message.
-fn validate_backend(raw: &str, source: &str) -> PacqResult<Backend> {
+pub(crate) fn validate_backend(raw: &str, source: &str) -> PacqResult<Backend> {
     let v = raw.trim();
     Backend::parse(v).ok_or_else(|| {
         PacqError::usage(format!(
@@ -40,47 +40,19 @@ pub fn validated_env_backend() -> PacqResult<Option<Backend>> {
     validate_backend(&raw, BACKEND_ENV).map(Some)
 }
 
-/// Splits `--backend B` / `--backend=B` out of an argument list,
-/// returning the remaining arguments and the parsed selection. Shared
-/// by the CLI and the figure/table binaries so every entry point spells
-/// the knob the same way.
-///
-/// # Errors
-///
-/// Returns [`PacqError::Usage`] when the value is missing or not a
-/// known backend token.
-pub fn take_backend_flag(args: &[String]) -> PacqResult<(Vec<String>, Option<Backend>)> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut backend = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--backend" {
-            let v = it
-                .next()
-                .ok_or_else(|| PacqError::usage("missing value for --backend"))?;
-            backend = Some(validate_backend(v, "--backend")?);
-        } else if let Some(v) = arg.strip_prefix("--backend=") {
-            backend = Some(validate_backend(v, "--backend")?);
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    Ok((rest, backend))
-}
-
 /// Resolves the effective backend: an explicit `backend` argument
 /// (from `--backend B`), then the [`BACKEND_ENV`] environment
-/// variable, then [`Backend::Scalar`].
+/// variable, then [`Backend::Scalar`]. The environment variable is
+/// validated even when the flag wins — a typo'd `PACQ_BACKEND` must
+/// never pass silently.
 ///
 /// # Errors
 ///
-/// Returns [`PacqError::Usage`] when no explicit selection is given and
-/// the environment variable holds an unknown token.
+/// Returns [`PacqError::Usage`] when the environment variable holds an
+/// unknown token.
 pub fn resolve_backend(backend: Option<Backend>) -> PacqResult<Backend> {
-    match backend {
-        Some(b) => Ok(b),
-        None => Ok(validated_env_backend()?.unwrap_or_default()),
-    }
+    let env = validated_env_backend()?;
+    Ok(backend.or(env).unwrap_or_default())
 }
 
 #[cfg(test)]
@@ -91,18 +63,27 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// `--backend` as the global flag table parses it out of `args`.
+    fn backend_flag(args: &[String]) -> PacqResult<(Vec<String>, Option<Backend>)> {
+        let (flags, rest) = crate::flags::take(args, crate::cli::GLOBAL_FLAGS)?;
+        Ok((
+            rest,
+            flags.get("--backend", |v| validate_backend(v, "--backend"))?,
+        ))
+    }
+
     #[test]
     fn backend_flag_is_extracted() {
-        let (rest, b) = take_backend_flag(&argv("--shape m16n16k16 --backend batched")).unwrap();
+        let (rest, b) = backend_flag(&argv("--shape m16n16k16 --backend batched")).unwrap();
         assert_eq!(b, Some(Backend::Batched));
         assert_eq!(rest, argv("--shape m16n16k16"));
-        let (rest, b) = take_backend_flag(&argv("--backend=scalar sweep")).unwrap();
+        let (rest, b) = backend_flag(&argv("--backend=scalar sweep")).unwrap();
         assert_eq!(b, Some(Backend::Scalar));
         assert_eq!(rest, argv("sweep"));
-        let (_, b) = take_backend_flag(&argv("compare")).unwrap();
+        let (_, b) = backend_flag(&argv("compare")).unwrap();
         assert_eq!(b, None);
-        assert!(take_backend_flag(&argv("--backend")).is_err());
-        assert!(take_backend_flag(&argv("--backend turbo")).is_err());
+        assert!(backend_flag(&argv("--backend")).is_err());
+        assert!(backend_flag(&argv("--backend turbo")).is_err());
     }
 
     #[test]
@@ -123,8 +104,7 @@ mod tests {
             ("  ", None),
         ];
         for &(input, expect) in cases {
-            let flag =
-                take_backend_flag(&["--backend".to_string(), input.to_string()]).map(|(_, b)| b);
+            let flag = backend_flag(&["--backend".to_string(), input.to_string()]).map(|(_, b)| b);
             let env = validate_backend(input, BACKEND_ENV).map(Some);
             match expect {
                 Some(b) => {
@@ -148,6 +128,9 @@ mod tests {
 
     #[test]
     fn explicit_backend_wins_over_default() {
+        // The env var is read on every resolve; hold the lock that CLI
+        // tests setting it take.
+        let _guard = crate::par::test_lock();
         assert_eq!(
             resolve_backend(Some(Backend::Batched)).unwrap(),
             Backend::Batched

@@ -1,15 +1,18 @@
 //! The `pacq` command-line interface (library side, so it is testable).
 //!
-//! Hand-rolled argument parsing — the workspace deliberately keeps its
-//! dependency set to the numeric essentials (see DESIGN.md §8).
+//! Every command parses argv against its declared flag table (see
+//! [`crate::flags`]) — no dependency on an argument-parsing crate (see
+//! DESIGN.md §8).
 
-use crate::backend::take_backend_flag;
-use crate::dse::{run_dse, DseAxes, DseOutcome, DsePlan};
+use crate::backend::validate_backend;
+use crate::dse::{run_dse, DseAxes, DseOutcome, DsePlan, EvalPoint};
+use crate::flags::{self, Args, Flag};
 use crate::par;
 use crate::params::parse_params;
 use crate::report::{Comparison, GemmReport};
 use crate::roofline;
 use crate::runner::GemmRunner;
+use crate::serve::validate_serve_count;
 use crate::sweep::SweepArm;
 use core::fmt::Write as _;
 use pacq_arch::ArchTemplate;
@@ -32,13 +35,15 @@ USAGE:
   pacq analyze --shape mMnNkK [--arch std|packedk|is|pacq] [--precision int4|int2]
                [--group g128|g256|g32x4|g64x4|gK] [--dup 1|2|4] [--width 4|8|16]
                [--json]
-  pacq compare --shape mMnNkK [--precision int4|int2] [--group ...]
+  pacq compare --shape mMnNkK [--precision int4|int2] [--group ...] [--dup ...]
+               [--width ...]
   pacq sweep --param batch|dup|width|grid --shape mMnNkK [--precision int4|int2]
-             [--shard i/N] [--checkpoint FILE]
+             [--group ...] [--dup ...] [--width ...] [--shard i/N]
+             [--checkpoint FILE]
   pacq dse --shape mMnNkK [--param axis=v1,v2,...]... [--pareto] [--shard i/N]
            [--checkpoint FILE]
   pacq exec --shape mMnNkK [--arch std|packedk|is|pacq] [--precision int4|int2]
-            [--group ...] [--check] [--json]
+            [--group ...] [--check]
   pacq cache stats|clear|verify --dir DIR
   pacq audit [--activity] [--tolerance X] [--activity-scale S]
   pacq trace --out trace.json [--arch ...] [--precision ...] [--dup ...] [--width ...]
@@ -48,6 +53,9 @@ USAGE:
                [--requests N] [--clients N] [--window N] [--unique N]
                [--sample N]
   pacq help
+
+Every flag is spelled --f V or --f=V. A flag a command does not list is
+an error, as is a repeated flag, except dse's --param.
 
 Every command also accepts --jobs N (worker threads for sweeps and
 functional execution; defaults to the PACQ_JOBS environment variable,
@@ -82,10 +90,11 @@ engine, each with its own table: grid is the default dse search (batch
 and group); batch pairs std and pacq across batch 16..512; dup walks
 PacQ across dup 1,2,4 and width walks pacq and packedk across width
 4,8,16, both at the shape's batch. Each arm fixes its architectures, so
---arch is a usage error, as are --dup on the dup arm and --width on the
-width arm. Only grid takes --shard i/N (N disjoint index classes, for
-split runs) and --checkpoint FILE (records completed points so an
-interrupted grid resumes where it stopped).
+--arch is a usage error, as are --dup on the dup arm, --width on the
+width arm and --precision on grid (which walks both). Only grid takes
+--shard i/N (N disjoint index classes, for split runs) and --checkpoint
+FILE (records completed points so an interrupted grid resumes where it
+stopped).
 
 `pacq dse` grid-searches design points over the template (or builtin)
 machine: repeated --param flags name the axes — batch=16,32
@@ -169,116 +178,141 @@ fn err(msg: impl Into<String>) -> PacqError {
     PacqError::usage(msg)
 }
 
-/// Splits `--metrics PATH` / `--metrics=PATH` out of an argument list.
-///
-/// Shared by the `pacq` CLI and every figure binary (via `pacq-bench`):
-/// the flag enables the process-wide observability collector for the
-/// duration of the command and names the run-manifest output file.
-///
-/// # Errors
-///
-/// Returns [`PacqError::Usage`] when the flag is present without a
-/// value.
-pub fn take_metrics_flag(args: &[String]) -> PacqResult<(Vec<String>, Option<String>)> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut metrics = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--metrics" {
-            let v = it
-                .next()
-                .ok_or_else(|| err("missing value for --metrics"))?;
-            metrics = Some(v.clone());
-        } else if let Some(v) = arg.strip_prefix("--metrics=") {
-            metrics = Some(v.to_string());
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    Ok((rest, metrics))
-}
+/// The global flags: `pacq` and every figure binary take them from
+/// anywhere in argv ([`Globals::take`]).
+pub const GLOBAL_FLAGS: &[Flag] = &[
+    Flag::Value("--metrics"),
+    Flag::Value("--cache"),
+    Flag::Value("--hot"),
+    Flag::Value("--arch-template"),
+    Flag::Value("--jobs"),
+    Flag::Value("--backend"),
+];
 
-/// Splits `--cache DIR` / `--cache=DIR` out of an argument list.
-///
-/// Like [`take_metrics_flag`], shared by the `pacq` CLI and the figure
-/// binaries so every entry point spells the report cache the same way.
-///
-/// # Errors
-///
-/// Returns [`PacqError::Usage`] when the flag is present without a
-/// value.
-pub fn take_cache_flag(args: &[String]) -> PacqResult<(Vec<String>, Option<String>)> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut cache = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--cache" {
-            let v = it.next().ok_or_else(|| err("missing value for --cache"))?;
-            cache = Some(v.clone());
-        } else if let Some(v) = arg.strip_prefix("--cache=") {
-            cache = Some(v.to_string());
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    Ok((rest, cache))
-}
+const SHAPE: Flag = Flag::Value("--shape");
+const ARCH: Flag = Flag::Value("--arch");
+const PRECISION: Flag = Flag::Value("--precision");
+const GROUP: Flag = Flag::Value("--group");
+const DUP: Flag = Flag::Value("--dup");
+const WIDTH: Flag = Flag::Value("--width");
+const SHARD: Flag = Flag::Value("--shard");
+const CHECKPOINT: Flag = Flag::Value("--checkpoint");
+const DSE_SINGLE_VALUE: &str = "dse searches architectures/dup/width via --param \
+                                (e.g. --param arch=std,pacq); the single-value flags don't apply";
 
-/// Splits `--hot N` / `--hot=N` out of an argument list and validates
-/// the capacity with the serve-layer count validator (trimmed plain
-/// digits, at least 1). The flag mounts a bounded in-memory LRU hot
-/// tier in front of the `--cache` store, so it is rejected later when
-/// no cache directory is given.
-///
-/// # Errors
-///
-/// Returns [`PacqError::Usage`] when the flag is present without a
-/// value or with a malformed one.
-pub fn take_hot_flag(args: &[String]) -> PacqResult<(Vec<String>, Option<usize>)> {
-    /// Upper bound on hot-tier entries; a tier bigger than this should
-    /// be the disk store.
-    const MAX_HOT_ENTRIES: u64 = 1 << 20;
-    let mut rest = Vec::with_capacity(args.len());
-    let mut hot = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--hot" {
-            let v = it.next().ok_or_else(|| err("missing value for --hot"))?;
-            hot = Some(crate::serve::validate_serve_count(v, "--hot", MAX_HOT_ENTRIES)? as usize);
-        } else if let Some(v) = arg.strip_prefix("--hot=") {
-            hot = Some(crate::serve::validate_serve_count(v, "--hot", MAX_HOT_ENTRIES)? as usize);
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    Ok((rest, hot))
-}
+/// Every command and its flag table — exactly its `USAGE` synopsis.
+/// `Refused` rows answer a flag that belongs elsewhere with a pointer
+/// to the right spelling.
+pub const COMMANDS: &[(&str, &[Flag])] = &[
+    (
+        "analyze",
+        &[
+            SHAPE,
+            ARCH,
+            PRECISION,
+            GROUP,
+            DUP,
+            WIDTH,
+            Flag::Switch("--json"),
+        ],
+    ),
+    (
+        "compare",
+        &[
+            SHAPE,
+            PRECISION,
+            GROUP,
+            DUP,
+            WIDTH,
+            Flag::Refused("--arch", "compare always runs all three architectures"),
+        ],
+    ),
+    (
+        "sweep",
+        &[
+            Flag::Value("--param"),
+            SHAPE,
+            PRECISION,
+            GROUP,
+            DUP,
+            WIDTH,
+            SHARD,
+            CHECKPOINT,
+            Flag::Refused(
+                "--arch",
+                "`pacq sweep` arms fix their own architectures; \
+                 `pacq dse --param arch=...` chooses them",
+            ),
+        ],
+    ),
+    (
+        "dse",
+        &[
+            SHAPE,
+            Flag::Repeat("--param"),
+            Flag::Switch("--pareto"),
+            SHARD,
+            CHECKPOINT,
+            Flag::Refused("--arch", DSE_SINGLE_VALUE),
+            Flag::Refused("--dup", DSE_SINGLE_VALUE),
+            Flag::Refused("--width", DSE_SINGLE_VALUE),
+            Flag::Refused(
+                "--precision",
+                "dse searches int4 and int2; choose with --param precision=...",
+            ),
+            Flag::Refused(
+                "--group",
+                "dse searches the machine's group; choose with --param group=...",
+            ),
+        ],
+    ),
+    (
+        "exec",
+        &[SHAPE, ARCH, PRECISION, GROUP, Flag::Switch("--check")],
+    ),
+    ("cache", &[Flag::Value("--dir")]),
+    (
+        "audit",
+        &[
+            Flag::Switch("--activity"),
+            Flag::Value("--tolerance"),
+            Flag::Value("--activity-scale"),
+        ],
+    ),
+    (
+        "trace",
+        &[Flag::Value("--out"), ARCH, PRECISION, DUP, WIDTH],
+    ),
+    (
+        "serve",
+        &[
+            Flag::Value("--port"),
+            Flag::Switch("--stdio"),
+            Flag::Value("--queue"),
+            Flag::Value("--rate"),
+            Flag::Value("--burst"),
+            Flag::Value("--max-clients"),
+        ],
+    ),
+    (
+        "loadgen",
+        &[
+            Flag::Value("--addr"),
+            Flag::Value("--ready-log"),
+            Flag::Switch("--spawn"),
+            Flag::Value("--requests"),
+            Flag::Value("--clients"),
+            Flag::Value("--window"),
+            Flag::Value("--unique"),
+            Flag::Value("--sample"),
+        ],
+    ),
+];
 
-/// Splits `--arch-template FILE` / `--arch-template=FILE` out of an
-/// argument list. The flag names a `pacq-arch/v1` template file
-/// replacing the builtin Volta-like machine for the command.
-///
-/// # Errors
-///
-/// Returns [`PacqError::Usage`] when the flag is present without a
-/// value.
-pub fn take_arch_template_flag(args: &[String]) -> PacqResult<(Vec<String>, Option<String>)> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut template = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--arch-template" {
-            let v = it
-                .next()
-                .ok_or_else(|| err("missing value for --arch-template"))?;
-            template = Some(v.clone());
-        } else if let Some(v) = arg.strip_prefix("--arch-template=") {
-            template = Some(v.to_string());
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    Ok((rest, template))
+/// `command`'s row of [`COMMANDS`].
+pub(crate) fn table(command: &str) -> Option<&'static [Flag]> {
+    let row = COMMANDS.iter().find(|(name, _)| *name == command);
+    row.map(|(_, table)| *table)
 }
 
 /// Loads, parses and validates the `--arch-template` file. I/O failures
@@ -292,6 +326,119 @@ pub fn load_arch_template(path: &str) -> PacqResult<ArchTemplate> {
     ArchTemplate::load(&text, path)
 }
 
+/// The [`GLOBAL_FLAGS`] of one run, validated and resolved. Shared by
+/// the `pacq` CLI and every figure binary (via `pacq-bench`), so each
+/// entry point spells and checks the knobs the same way.
+pub struct Globals {
+    /// `--metrics PATH`: the run-manifest file; the observability
+    /// collector is armed for the run when set.
+    pub metrics: Option<String>,
+    /// `--cache DIR`, fronted by the `--hot N` memory tier when given.
+    pub cache: Option<Arc<ReportCache>>,
+    /// `--jobs N`, else `PACQ_JOBS`; `None` leaves the pool alone.
+    pub jobs: Option<usize>,
+    /// `--backend`, else `PACQ_BACKEND`, else scalar.
+    pub backend: Backend,
+    /// The validated `--arch-template` design point.
+    pub template: Option<ArchTemplate>,
+}
+
+impl Globals {
+    /// Takes the global flags out of `argv` from anywhere, returning
+    /// them resolved plus every other token in order.
+    ///
+    /// # Errors
+    ///
+    /// Usage errors (exit 2) for malformed flags and env values, I/O
+    /// (exit 6) when the cache or template cannot be read, template
+    /// errors (exit 9) for a template that does not validate.
+    pub fn take(argv: &[String]) -> PacqResult<(Globals, Vec<String>)> {
+        /// Upper bound on hot-tier entries; a tier bigger than this
+        /// should be the disk store.
+        const MAX_HOT_ENTRIES: u64 = 1 << 20;
+        let (flags, rest) = flags::take(argv, GLOBAL_FLAGS)?;
+        let hot = flags.get("--hot", |v| {
+            validate_serve_count(v, "--hot", MAX_HOT_ENTRIES)
+        })?;
+        let template = flags.get("--arch-template", load_arch_template)?;
+        let backend = flags.get("--backend", |v| validate_backend(v, "--backend"))?;
+        let backend = crate::backend::resolve_backend(backend)?;
+        let jobs = flags.get("--jobs", |v| par::validate_jobs(v, "--jobs"))?;
+        // Like the backend's, the env spelling is validated even when
+        // the flag wins: a typo'd PACQ_JOBS must never pass silently.
+        let jobs = jobs.or(par::validated_env_jobs()?);
+        let metrics = flags.value("--metrics").map(str::to_string);
+        if metrics.is_some() {
+            pacq_trace::enable();
+        }
+        let cache = match (flags.value("--cache"), hot) {
+            (None, Some(_)) => {
+                return Err(err(
+                    "--hot mounts a memory tier in front of --cache; pass --cache DIR too",
+                ))
+            }
+            (None, None) => None,
+            (Some(dir), hot) => {
+                let store = ReportCache::open(dir)?;
+                Some(Arc::new(match hot {
+                    Some(n) => store.with_hot_tier(n as usize),
+                    None => store,
+                }))
+            }
+        };
+        let globals = Globals {
+            metrics,
+            cache,
+            jobs,
+            backend,
+            template,
+        };
+        Ok((globals, rest))
+    }
+
+    /// The run's base runner: the template's machine (or the builtin
+    /// one) with the cache and backend attached. The template's
+    /// per-level energies price every report, and its content digest
+    /// travels into cache keys, checkpoint bindings and provenance.
+    ///
+    /// # Errors
+    ///
+    /// A template error (exit 9) when the template's energy model cannot
+    /// be derived.
+    pub fn runner(&self) -> PacqResult<GemmRunner> {
+        let runner = GemmRunner::new()
+            .with_cache_opt(self.cache.clone())
+            .with_backend(self.backend);
+        Ok(match &self.template {
+            Some(t) => runner
+                .with_config(t.sm_config())
+                .with_energy_model(t.energy_model()?)
+                .with_template_digest(t.digest()),
+            None => runner,
+        })
+    }
+
+    /// With `--metrics`, drains the collector into a run manifest
+    /// recording `binary`, `args` and this run's knobs, and returns it
+    /// with its output path; `None` otherwise.
+    pub fn manifest(&self, binary: &str, args: &[String]) -> Option<(RunManifest, &str)> {
+        let path = self.metrics.as_deref()?;
+        let mut manifest = RunManifest::new(binary, args);
+        if let Some(j) = self.jobs {
+            manifest = manifest.with_jobs(j);
+        }
+        manifest = manifest
+            .with_effective_jobs(rayon::current_num_threads())
+            .with_backend(self.backend.token());
+        if let Some(t) = &self.template {
+            manifest = manifest.with_arch_template(t.digest());
+        }
+        manifest.gather();
+        pacq_trace::disable();
+        Some((manifest, path))
+    }
+}
+
 /// Runs the CLI on pre-split arguments, returning the output text.
 ///
 /// # Errors
@@ -299,202 +446,64 @@ pub fn load_arch_template(path: &str) -> PacqResult<ArchTemplate> {
 /// Returns [`PacqError::Usage`] for any unknown command, missing or
 /// malformed option, and propagates typed simulator errors.
 pub fn run(args: &[String]) -> PacqResult<String> {
-    let (args, metrics) = take_metrics_flag(args)?;
-    let (args, cache_dir) = take_cache_flag(&args)?;
-    let (args, hot) = take_hot_flag(&args)?;
-    let (args, template_path) = take_arch_template_flag(&args)?;
-    let template = match &template_path {
-        Some(path) => Some(load_arch_template(path)?),
-        None => None,
-    };
-    let (args, jobs) = par::take_jobs_flag(&args)?;
-    let (args, backend_flag) = take_backend_flag(&args)?;
-    // Like --jobs, the env spelling is validated even when the flag
-    // wins — a typo'd PACQ_BACKEND must never pass silently.
-    let env_backend = crate::backend::validated_env_backend()?;
-    let backend = backend_flag.or(env_backend).unwrap_or_default();
-    let env_jobs = par::validated_env_jobs()?;
+    let (globals, args) = Globals::take(args)?;
     // Only touch the global pool when the user asked for a count — a
     // plain invocation must not clobber a programmatically configured
     // pool (and concurrent unit tests share the process-wide setting).
-    if jobs.is_some() || env_jobs.is_some() {
-        par::configure_jobs(jobs.or(env_jobs));
+    if globals.jobs.is_some() {
+        par::configure_jobs(globals.jobs);
     }
-    if metrics.is_some() {
-        pacq_trace::enable();
-    }
-    if hot.is_some() && cache_dir.is_none() {
-        return Err(err(
-            "--hot mounts a memory tier in front of --cache; pass --cache DIR too",
-        ));
-    }
-    let cache = match &cache_dir {
-        Some(dir) => {
-            let store = ReportCache::open(dir)?;
-            Some(Arc::new(match hot {
-                Some(n) => store.with_hot_tier(n),
-                None => store,
-            }))
-        }
-        None => None,
-    };
-    let result = dispatch(&args, cache.as_ref(), backend, template.as_ref());
-    if let Some(path) = metrics {
-        let mut manifest = RunManifest::new("pacq", &args);
-        if let Some(j) = jobs.or(env_jobs) {
-            manifest = manifest.with_jobs(j);
-        }
-        manifest = manifest
-            .with_effective_jobs(rayon::current_num_threads())
-            .with_backend(backend.token());
-        if let Some(t) = &template {
-            manifest = manifest.with_arch_template(t.digest());
-        }
-        manifest.gather();
-        pacq_trace::disable();
+    let result = dispatch(&args, &globals);
+    if let Some((manifest, path)) = globals.manifest("pacq", &args) {
         if result.is_ok() {
-            manifest.write_to(&path)?;
+            manifest.write_to(path)?;
         }
     }
     result
 }
 
-fn dispatch(
-    args: &[String],
-    cache: Option<&Arc<ReportCache>>,
-    backend: Backend,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<String> {
-    let mut it = args.iter().map(String::as_str);
-    let command = it.next();
+fn dispatch(args: &[String], globals: &Globals) -> PacqResult<String> {
+    let Some((command, rest)) = args.split_first() else {
+        return Ok(format!("{USAGE}\n"));
+    };
+    let command = command.as_str();
+    if matches!(command, "help" | "--help" | "-h") {
+        return Ok(format!("{USAGE}\n"));
+    }
+    let Some(table) = table(command) else {
+        return Err(err(format!("unknown command `{command}`")));
+    };
     // Commands that don't simulate a machine have nothing to apply a
     // template to — silently ignoring the flag would misattribute their
     // output to the template.
-    if template.is_some() && matches!(command, Some("cache" | "serve" | "loadgen")) {
+    if globals.template.is_some() && matches!(command, "cache" | "serve" | "loadgen") {
         return Err(err(format!(
-            "--arch-template does not apply to `{}`",
-            command.unwrap_or_default()
+            "--arch-template does not apply to `{command}`"
         )));
     }
+    if command == "cache" {
+        return cache_cmd(rest, table, globals.cache.as_ref());
+    }
+    let flags = flags::parse(rest, table, command)?;
     match command {
-        None | Some("help") | Some("--help") | Some("-h") => Ok(format!("{USAGE}\n")),
-        Some("analyze") => analyze(&args[1..], cache, template),
-        Some("compare") => compare(&args[1..], cache, template),
-        Some("sweep") => sweep(&args[1..], cache, backend, template),
-        Some("dse") => dse(&args[1..], cache, backend, template),
-        Some("exec") => exec(&args[1..], cache, backend, template),
-        Some("cache") => cache_cmd(&args[1..], cache),
-        Some("audit") => audit(&args[1..], cache, template),
-        Some("trace") => trace(&args[1..], template),
-        Some("serve") => crate::serve::run_cli(&args[1..], cache.map(Arc::clone), backend),
-        Some("loadgen") => crate::loadgen::run_cli(&args[1..], cache.map(Arc::clone), backend),
-        Some(other) => Err(err(format!("unknown command `{other}`"))),
+        "analyze" => analyze(&flags, globals),
+        "compare" => compare(&flags, globals),
+        "sweep" => sweep(&flags, globals),
+        "dse" => dse(&flags, globals),
+        "exec" => exec(&flags, globals),
+        "audit" => audit(&flags, globals),
+        "trace" => trace(&flags, globals),
+        "serve" => crate::serve::run_cli(&flags, globals.cache.clone(), globals.backend),
+        _ => crate::loadgen::run_cli(&flags, globals.cache.clone(), globals.backend),
     }
-}
-
-/// Parsed common options. `arch`, `dup` and `width` stay `None` until
-/// the user passes the flag — the effective value depends on whether an
-/// architecture template is in play (the template's datapath must not
-/// be silently clobbered by a hardcoded default), so resolution happens
-/// in [`resolve_arch`] / [`runner_for`].
-struct Options {
-    shape: GemmShape,
-    precision: WeightPrecision,
-    arch: Option<Architecture>,
-    group: GroupShape,
-    dup: Option<usize>,
-    width: Option<usize>,
-    json: bool,
-    check: bool,
-    params: Vec<String>,
-    out: Option<String>,
-    shard: Shard,
-    checkpoint: Option<String>,
-}
-
-fn parse_options(args: &[String], require_shape: bool) -> PacqResult<Options> {
-    let mut shape = None;
-    let mut precision = WeightPrecision::Int4;
-    let mut arch = None;
-    let mut group = GroupShape::G128;
-    let mut dup = None;
-    let mut width = None;
-    let mut json = false;
-    let mut check = false;
-    let mut params = Vec::new();
-    let mut out = None;
-    let mut shard = Shard::FULL;
-    let mut checkpoint = None;
-
-    let mut it = args.iter().map(String::as_str).peekable();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> PacqResult<&str> {
-            it.next()
-                .ok_or_else(|| err(format!("missing value for {name}")))
-        };
-        match flag {
-            "--shape" => shape = Some(parse_shape(value("--shape")?)?),
-            "--precision" => precision = parse_precision(value("--precision")?)?,
-            "--arch" => arch = Some(parse_arch(value("--arch")?)?),
-            "--group" => group = parse_group(value("--group")?)?,
-            "--dup" => {
-                let d = value("--dup")?
-                    .parse()
-                    .map_err(|_| err("--dup expects 1, 2 or 4"))?;
-                if !matches!(d, 1 | 2 | 4) {
-                    return Err(err("--dup expects 1, 2 or 4"));
-                }
-                dup = Some(d);
-            }
-            "--width" => {
-                let w = value("--width")?
-                    .parse()
-                    .map_err(|_| err("--width expects 4, 8 or 16"))?;
-                if !matches!(w, 4 | 8 | 16) {
-                    return Err(err("--width expects 4, 8 or 16"));
-                }
-                width = Some(w);
-            }
-            "--json" => json = true,
-            "--check" => check = true,
-            "--param" => params.push(value("--param")?.to_string()),
-            "--out" => out = Some(value("--out")?.to_string()),
-            "--shard" => shard = Shard::parse(value("--shard")?)?,
-            "--checkpoint" => checkpoint = Some(value("--checkpoint")?.to_string()),
-            other => return Err(err(format!("unknown option `{other}`"))),
-        }
-    }
-
-    let shape = match (shape, require_shape) {
-        (Some(s), _) => s,
-        (None, false) => GemmShape::M16N16K16,
-        (None, true) => return Err(err("--shape is required (e.g. --shape m16n4096k4096)")),
-    };
-    Ok(Options {
-        shape,
-        precision,
-        arch,
-        group,
-        dup,
-        width,
-        json,
-        check,
-        params,
-        out,
-        shard,
-        checkpoint,
-    })
 }
 
 /// The architecture a single-point command simulates: the `--arch` flag
 /// without a template, the template's dataflow with one (an explicit
 /// `--arch` then conflicts — the template pins the dataflow), PacQ when
 /// neither says.
-fn resolve_arch(
-    arch: Option<Architecture>,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<Architecture> {
-    match (arch, template) {
+fn resolve_arch(flags: &Args, template: Option<&ArchTemplate>) -> PacqResult<Architecture> {
+    match (flags.get("--arch", parse_arch)?, template) {
         (Some(_), Some(_)) => Err(err(
             "--arch conflicts with --arch-template: the template's dataflow/packing/dequant \
              triple pins the architecture",
@@ -505,21 +514,35 @@ fn resolve_arch(
     }
 }
 
-/// The effective machine configuration: the template's (when given,
-/// with `--dup`/`--width` still overriding) or the builtin Volta-like
-/// defaults.
-fn resolve_config(opts: &Options, template: Option<&ArchTemplate>) -> SmConfig {
-    let mut cfg = match template {
-        Some(t) => t.sm_config(),
-        None => SmConfig::volta_like(),
-    };
-    if let Some(dup) = opts.dup {
-        cfg.adder_tree_duplication = dup;
-    }
-    if let Some(width) = opts.width {
-        cfg.dp_width = width;
-    }
-    cfg
+/// The `--shape` every command but `trace` requires.
+fn required_shape(flags: &Args) -> PacqResult<GemmShape> {
+    flags
+        .get("--shape", parse_shape)?
+        .ok_or_else(|| err("--shape is required (e.g. --shape m16n4096k4096)"))
+}
+
+/// The evaluation point a command's flags name over `base`:
+/// `--precision` (default INT4), and `--dup`/`--width`/`--group`
+/// overriding the base machine's own. Price it through
+/// [`EvalPoint::runner`].
+fn eval_point(
+    flags: &Args,
+    base: &GemmRunner,
+    arch: Architecture,
+    shape: GemmShape,
+) -> PacqResult<EvalPoint> {
+    let cfg = base.config();
+    let precision = flags.get("--precision", parse_precision)?;
+    Ok(EvalPoint {
+        arch,
+        workload: Workload::new(shape, precision.unwrap_or(WeightPrecision::Int4)),
+        width: flags.get("--width", parse_width)?.unwrap_or(cfg.dp_width),
+        dup: flags
+            .get("--dup", parse_dup)?
+            .unwrap_or(cfg.adder_tree_duplication),
+        group: flags.get("--group", parse_group)?.unwrap_or(base.group()),
+        mapping: None,
+    })
 }
 
 /// Parses the paper's `mMnNkK` shape notation.
@@ -609,24 +632,30 @@ pub fn parse_group(text: &str) -> PacqResult<GroupShape> {
     }
 }
 
-fn runner_for(
-    opts: &Options,
-    cache: Option<&Arc<ReportCache>>,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<GemmRunner> {
-    let mut runner = GemmRunner::new()
-        .with_config(resolve_config(opts, template))
-        .with_group(opts.group)
-        .with_cache_opt(cache.map(Arc::clone));
-    if let Some(t) = template {
-        // Bind the runner to the template: its per-level energies price
-        // every report, and its content digest travels into cache keys,
-        // checkpoint bindings and run provenance.
-        runner = runner
-            .with_energy_model(t.energy_model()?)
-            .with_template_digest(t.digest());
+/// Parses an adder-tree duplication the way `--dup` does (1, 2 or 4);
+/// shared with `pacq serve` request decoding and `--param dup=...`.
+///
+/// # Errors
+///
+/// Returns [`PacqError::Usage`] for any other value.
+pub fn parse_dup(text: &str) -> PacqResult<usize> {
+    match text.parse() {
+        Ok(d @ (1 | 2 | 4)) => Ok(d),
+        _ => Err(err(format!("dup `{text}` must be 1, 2 or 4"))),
     }
-    Ok(runner)
+}
+
+/// Parses a DP width the way `--width` does (4, 8 or 16); shared with
+/// `pacq serve` request decoding and `--param width=...`.
+///
+/// # Errors
+///
+/// Returns [`PacqError::Usage`] for any other value.
+pub fn parse_width(text: &str) -> PacqResult<usize> {
+    match text.parse() {
+        Ok(w @ (4 | 8 | 16)) => Ok(w),
+        _ => Err(err(format!("width `{text}` must be 4, 8 or 16"))),
+    }
 }
 
 /// FNV-1a over the row-major result bits: a stable fingerprint that two
@@ -649,21 +678,18 @@ fn result_digest(c: &pacq_quant::MatrixF32) -> u64 {
 /// reruns and backends see identical inputs). `--check` runs the scalar
 /// *and* batched backends, asserts bit-identity, and reports the
 /// speedup.
-fn exec(
-    args: &[String],
-    cache: Option<&Arc<ReportCache>>,
-    backend: Backend,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<String> {
-    let opts = parse_options(args, true)?;
-    let arch = resolve_arch(opts.arch, template)?;
+fn exec(flags: &Args, globals: &Globals) -> PacqResult<String> {
+    let arch = resolve_arch(flags, globals.template.as_ref())?;
+    let base = globals.runner()?;
+    let point = eval_point(flags, &base, arch, required_shape(flags)?)?;
     let _span = pacq_trace::span("cli.exec");
-    let (m, n, k) = (opts.shape.m, opts.shape.n, opts.shape.k);
-    let runner = runner_for(&opts, cache, template)?.with_backend(backend);
+    let Workload { shape, precision } = point.workload;
+    let (m, n, k) = (shape.m, shape.n, shape.k);
+    let runner = point.runner(&base);
     let mut g = SynthGenerator::new((m ^ (n << 8) ^ (k << 16)) as u64 | 1);
     let a = g.llm_activations(m, k).to_f16();
     let w = g.llm_weights(k, n);
-    let packed = runner.quantize_and_pack(&w, opts.precision, arch)?;
+    let packed = runner.quantize_and_pack(&w, precision, arch)?;
 
     let timed = |r: &GemmRunner| -> PacqResult<(pacq_quant::MatrixF32, f64)> {
         let t0 = std::time::Instant::now();
@@ -679,16 +705,16 @@ fn exec(
     let _ = writeln!(
         out,
         "exec {} on {} ({}, {} backend): digest {digest:016x}, {seconds:.6} s, {gflops:.3} GFLOP/s",
-        Workload::new(opts.shape, opts.precision),
+        point.workload,
         arch,
-        opts.group,
+        point.group,
         runner.backend(),
     );
     let mut record = Json::object();
     record.set("backend", runner.backend().token());
     record.set("digest", format!("{digest:016x}"));
 
-    if opts.check {
+    if flags.has("--check") {
         // Run the *other* backend on the same inputs: results must agree
         // to the bit (the tentpole contract), and the ratio of wall
         // times is the measured speedup.
@@ -730,50 +756,37 @@ fn exec(
         record.set("batched_speedup", speedup);
     }
     if pacq_trace::is_enabled() {
-        pacq_trace::record_result(format!("exec|{}|{arch}", opts.shape), record);
+        pacq_trace::record_result(format!("exec|{shape}|{arch}"), record);
     }
     Ok(out)
 }
 
-fn analyze(
-    args: &[String],
-    cache: Option<&Arc<ReportCache>>,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<String> {
-    let opts = parse_options(args, true)?;
-    let arch = resolve_arch(opts.arch, template)?;
-    let runner = runner_for(&opts, cache, template)?;
-    let report = runner.analyze(arch, Workload::new(opts.shape, opts.precision))?;
-    if opts.json {
+fn analyze(flags: &Args, globals: &Globals) -> PacqResult<String> {
+    let arch = resolve_arch(flags, globals.template.as_ref())?;
+    let base = globals.runner()?;
+    let point = eval_point(flags, &base, arch, required_shape(flags)?)?;
+    let report = point.runner(&base).analyze(arch, point.workload)?;
+    if flags.has("--json") {
         Ok(report_json(&report))
     } else {
         Ok(report_text(&report))
     }
 }
 
-fn compare(
-    args: &[String],
-    cache: Option<&Arc<ReportCache>>,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<String> {
-    let opts = parse_options(args, true)?;
-    if opts.arch.is_some() {
-        return Err(err(
-            "compare always runs all three architectures; drop --arch",
-        ));
-    }
+fn compare(flags: &Args, globals: &Globals) -> PacqResult<String> {
     // With a template, compare runs all three dataflows on the
     // template's *machine* (capacities, datapath, energies) — the
     // template's own dataflow triple picks none of them out.
-    let runner = runner_for(&opts, cache, template)?;
-    let wl = Workload::new(opts.shape, opts.precision);
+    let base = globals.runner()?;
+    let point = eval_point(flags, &base, Architecture::Pacq, required_shape(flags)?)?;
+    let (runner, wl) = (point.runner(&base), point.workload);
     let cmp = Comparison::new(vec![
         runner.analyze(Architecture::StandardDequant, wl)?,
         runner.analyze(Architecture::PackedK, wl)?,
         runner.analyze(Architecture::Pacq, wl)?,
     ]);
     let mut out = String::new();
-    let _ = writeln!(out, "workload {wl}, group {}:", opts.group);
+    let _ = writeln!(out, "workload {wl}, group {}:", point.group);
     let _ = writeln!(
         out,
         "{:<28} {:>12} {:>14} {:>10} {:>10} {:>12}",
@@ -800,64 +813,57 @@ fn compare(
 /// `--shard` and `--checkpoint`. The checkpoint is bound to grid ×
 /// machine × template × backend: resuming a half-done grid under any
 /// other runner is a typed mismatch, never a silent skip.
-fn run_grid(opts: &Options, base: &GemmRunner, axes: &DseAxes) -> PacqResult<DseOutcome> {
-    let plan = DsePlan::enumerate(axes, opts.shape.n, opts.shape.k);
-    let checkpoint = match &opts.checkpoint {
+fn run_grid(
+    flags: &Args,
+    shape: GemmShape,
+    base: &GemmRunner,
+    axes: &DseAxes,
+) -> PacqResult<(DseOutcome, Shard)> {
+    let plan = DsePlan::enumerate(axes, shape.n, shape.k);
+    let shard = flags.get("--shard", Shard::parse)?.unwrap_or(Shard::FULL);
+    let checkpoint = match flags.value("--checkpoint") {
         Some(path) => Some(SweepCheckpoint::open(path, &plan.binding_digest(base))?),
         None => None,
     };
-    run_dse(base, &plan, opts.shard, checkpoint.as_ref())
+    Ok((run_dse(base, &plan, shard, checkpoint.as_ref())?, shard))
 }
 
 /// `pacq sweep --param grid|batch|dup|width`: each arm is a fixed
 /// preset over the dse engine ([`crate::sweep::SweepArm`]), so it fixes
-/// its own architectures — and the dup or width it walks.
-fn sweep(
-    args: &[String],
-    cache: Option<&Arc<ReportCache>>,
-    backend: Backend,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<String> {
-    let opts = parse_options(args, true)?;
-    // Shared --param validation (duplicates, empty value lists) before
-    // the sweep-specific shape check.
-    let specs = parse_params(&opts.params)?;
-    let name = match specs.as_slice() {
-        [] => return Err(err("--param is required for sweep")),
-        [spec] if spec.values.is_empty() => spec.name.as_str(),
-        [spec] => {
-            return Err(err(format!(
-                "--param {}=...: sweep takes a bare parameter name (batch, dup, width or \
-                 grid); value lists belong to `pacq dse`",
-                spec.name
-            )))
-        }
-        _ => return Err(err("sweep takes exactly one --param")),
-    };
+/// its own architectures — and the dup, width or precisions it walks.
+fn sweep(flags: &Args, globals: &Globals) -> PacqResult<String> {
+    let shape = required_shape(flags)?;
+    let name = flags
+        .value("--param")
+        .ok_or_else(|| err("--param is required for sweep"))?;
     let arm = SweepArm::parse(name)?;
-    if arm != SweepArm::Grid && (opts.shard != Shard::FULL || opts.checkpoint.is_some()) {
+    if arm != SweepArm::Grid && (flags.has("--shard") || flags.has("--checkpoint")) {
         return Err(err(
             "--shard and --checkpoint apply to `sweep --param grid` only",
         ));
     }
     // A flag the arm overrides must not pass silently.
     let overridden = match arm {
-        _ if opts.arch.is_some() => Some("--arch"),
-        SweepArm::Dup if opts.dup.is_some() => Some("--dup"),
-        SweepArm::Width if opts.width.is_some() => Some("--width"),
-        _ => None,
+        SweepArm::Grid => Some("precision"),
+        SweepArm::Dup => Some("dup"),
+        SweepArm::Width => Some("width"),
+        SweepArm::Batch => None,
     };
-    if let Some(flag) = overridden {
+    if let Some(axis) = overridden.filter(|axis| flags.has(&format!("--{axis}"))) {
         return Err(err(format!(
-            "`sweep --param {name}` fixes its own {} values, so {flag} doesn't apply; \
-             `pacq dse --param` chooses them",
-            &flag[2..]
+            "`sweep --param {name}` fixes its own {axis} values, so --{axis} doesn't apply; \
+             `pacq dse --param {axis}=...` chooses them"
         )));
     }
-    let base = runner_for(&opts, cache, template)?.with_backend(backend);
-    let outcome = run_grid(&opts, &base, &arm.axes(&base, opts.shape, opts.precision))?;
-    let mut out = arm.render(&outcome, opts.shard);
-    if let (SweepArm::Grid, Some(c)) = (arm, cache) {
+    // The arm fixes its own architectures: the point only carries the
+    // machine overrides.
+    let base = globals.runner()?;
+    let point = eval_point(flags, &base, Architecture::Pacq, shape)?;
+    let base = point.runner(&base);
+    let axes = arm.axes(&base, shape, point.workload.precision);
+    let (outcome, shard) = run_grid(flags, shape, &base, &axes)?;
+    let mut out = arm.render(&outcome, shard);
+    if let (SweepArm::Grid, Some(c)) = (arm, &globals.cache) {
         let _ = writeln!(out, "cache: {} hits, {} misses", c.hits(), c.misses());
     }
     Ok(out)
@@ -870,36 +876,13 @@ fn sweep(
 /// [`crate::dse`]. With
 /// `--pareto` the non-dominated (cycles, energy) set is printed as a
 /// stable table and recorded in the `--metrics` manifest.
-fn dse(
-    args: &[String],
-    cache: Option<&Arc<ReportCache>>,
-    backend: Backend,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<String> {
-    // `--pareto` is dse-only, so it is split off before the shared
-    // option parser (which would reject it for every other command).
-    let mut pareto = false;
-    let args: Vec<String> = args
-        .iter()
-        .filter(|a| {
-            let hit = *a == "--pareto";
-            pareto |= hit;
-            !hit
-        })
-        .cloned()
-        .collect();
-    let opts = parse_options(&args, true)?;
-    if opts.arch.is_some() || opts.dup.is_some() || opts.width.is_some() {
-        return Err(err(
-            "dse searches architectures/dup/width via --param (e.g. --param arch=std,pacq); \
-             the single-value flags don't apply",
-        ));
-    }
-    let base = runner_for(&opts, cache, template)?.with_backend(backend);
+fn dse(flags: &Args, globals: &Globals) -> PacqResult<String> {
+    let shape = required_shape(flags)?;
+    let base = globals.runner()?;
     let cfg = *base.config();
-    let mut axes = DseAxes::defaults(cfg.dp_width, cfg.adder_tree_duplication, opts.group);
-    axes.apply(&parse_params(&opts.params)?)?;
-    let outcome = run_grid(&opts, &base, &axes)?;
+    let mut axes = DseAxes::defaults(cfg.dp_width, cfg.adder_tree_duplication, base.group());
+    axes.apply(&parse_params(&flags.values("--param"))?)?;
+    let (outcome, shard) = run_grid(flags, shape, &base, &axes)?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -944,7 +927,7 @@ fn dse(
             best.edp_pj_s
         );
     }
-    if pareto {
+    if flags.has("--pareto") {
         let points: Vec<crate::pareto::ParetoPoint> = outcome
             .rows
             .iter()
@@ -997,16 +980,16 @@ fn dse(
         out,
         "dse: {} points, shard {} selected {}, resumed {}, executed {}{}",
         t.total,
-        opts.shard,
+        shard,
         t.selected,
         t.skipped,
         t.executed,
-        match template {
+        match &globals.template {
             Some(tpl) => format!("; template {} ({})", tpl.name, tpl.digest()),
             None => "; builtin machine".to_string(),
         }
     );
-    if let Some(c) = cache {
+    if let Some(c) = &globals.cache {
         let _ = writeln!(out, "cache: {} hits, {} misses", c.hits(), c.misses());
     }
     Ok(out)
@@ -1016,32 +999,30 @@ fn dse(
 /// a content-addressed report cache directory. `verify` exits nonzero
 /// (typed, exit code 4) when any entry fails its integrity walk, so CI
 /// can gate on store health.
-fn cache_cmd(args: &[String], ambient: Option<&Arc<ReportCache>>) -> PacqResult<String> {
-    let mut action = None;
-    let mut dir = None;
-    let mut it = args.iter().map(String::as_str);
-    while let Some(arg) = it.next() {
-        match arg {
-            "stats" | "clear" | "verify" if action.is_none() => action = Some(arg.to_string()),
-            "--dir" => {
-                dir = Some(
-                    it.next()
-                        .ok_or_else(|| err("missing value for --dir"))?
-                        .to_string(),
-                )
-            }
-            other => return Err(err(format!("unknown cache argument `{other}`"))),
+fn cache_cmd(
+    args: &[String],
+    table: &[Flag],
+    ambient: Option<&Arc<ReportCache>>,
+) -> PacqResult<String> {
+    // The action is the one positional argument, anywhere in argv.
+    let (flags, rest) = flags::take(args, table)?;
+    let is_action = |token: &str| matches!(token, "stats" | "clear" | "verify");
+    let action = match rest.as_slice() {
+        [action] if is_action(action) => action.as_str(),
+        [] => return Err(err("cache wants an action: stats, clear or verify")),
+        [action, other, ..] if is_action(action) => {
+            return Err(err(format!("unknown cache argument `{other}`")))
         }
-    }
-    let action = action.ok_or_else(|| err("cache wants an action: stats, clear or verify"))?;
+        [other, ..] => return Err(err(format!("unknown cache argument `{other}`"))),
+    };
     // `--dir DIR` names the store; the global `--cache DIR` flag works
     // too, so `pacq cache stats --cache DIR` reads naturally.
-    let store = match (dir, ambient) {
+    let store = match (flags.value("--dir"), ambient) {
         (Some(d), _) => ReportCache::open(d)?,
         (None, Some(c)) => ReportCache::open(c.dir())?,
         (None, None) => return Err(err("cache wants --dir DIR (or the global --cache DIR)")),
     };
-    match action.as_str() {
+    match action {
         "stats" => {
             let s = store.stats()?;
             Ok(format!(
@@ -1090,45 +1071,23 @@ fn cache_cmd(args: &[String], ambient: Option<&Arc<ReportCache>>) -> PacqResult<
 /// reference scan. With `--cache DIR`, priced reports go through (and
 /// into) the store, so the audit doubles as a check that cached reports
 /// satisfy the same invariants as fresh ones.
-fn audit(
-    args: &[String],
-    cache: Option<&Arc<ReportCache>>,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<String> {
-    let mut activity = false;
-    let mut tolerance_flag = None;
-    let mut scale = None;
-    let mut it = args.iter().map(String::as_str);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> PacqResult<&str> {
-            it.next()
-                .ok_or_else(|| err(format!("missing value for {name}")))
-        };
-        match flag {
-            "--activity" => activity = true,
-            "--tolerance" => {
-                let t: f64 = value("--tolerance")?
-                    .parse()
-                    .map_err(|_| err("--tolerance expects a number"))?;
-                if !(t > 0.0 && t.is_finite()) {
-                    return Err(err(format!(
-                        "--tolerance must be positive and finite, got {t}"
-                    )));
-                }
-                tolerance_flag = Some(t);
-            }
-            "--activity-scale" => {
-                let s: f64 = value("--activity-scale")?
-                    .parse()
-                    .map_err(|_| err("--activity-scale expects a number"))?;
-                scale = Some(s);
-            }
-            other => return Err(err(format!("unknown audit option `{other}`"))),
-        }
-    }
-    if activity {
+fn audit(flags: &Args, globals: &Globals) -> PacqResult<String> {
+    let tolerance_flag = flags.get("--tolerance", |v| match v.parse::<f64>() {
+        Ok(t) if t > 0.0 && t.is_finite() => Ok(t),
+        Ok(t) => Err(err(format!(
+            "--tolerance must be positive and finite, got {t}"
+        ))),
+        Err(_) => Err(err("--tolerance expects a number")),
+    })?;
+    let scale = flags.get("--activity-scale", |v| {
+        v.parse::<f64>()
+            .map_err(|_| err("--activity-scale expects a number"))
+    })?;
+    let template = globals.template.as_ref();
+    if flags.has("--activity") {
         return audit_activity(tolerance_flag, scale, template);
     }
+    let cache = globals.cache.as_ref();
     if tolerance_flag.is_some() || scale.is_some() || template.is_some() {
         return Err(err(
             "--tolerance, --activity-scale and --arch-template configure the activity \
@@ -1390,15 +1349,17 @@ fn audit_roofline(n: usize, k: usize, bits: u32) -> PacqResult<u64> {
 /// `pacq trace`: replays one warp-tile octet through the event-driven
 /// pipeline and writes the cycle-resolved activity as Chrome trace_event
 /// JSON (1 trace microsecond = 1 SM cycle).
-fn trace(args: &[String], template: Option<&ArchTemplate>) -> PacqResult<String> {
-    let opts = parse_options(args, false)?;
-    let arch = resolve_arch(opts.arch, template)?;
-    let out = opts
-        .out
-        .clone()
+fn trace(flags: &Args, globals: &Globals) -> PacqResult<String> {
+    let arch = resolve_arch(flags, globals.template.as_ref())?;
+    let out = flags
+        .value("--out")
         .ok_or_else(|| err("--out PATH is required for trace"))?;
-    let cfg = resolve_config(&opts, template);
-    let schedule = octet_schedule(arch, opts.precision, &cfg);
+    // One octet is shape-independent: the point only carries the
+    // precision and the machine overrides.
+    let base = globals.runner()?;
+    let point = eval_point(flags, &base, arch, GemmShape::M16N16K16)?;
+    let precision = point.workload.precision;
+    let schedule = octet_schedule(arch, precision, point.runner(&base).config());
     let (replay, events) = OctetPipeline::new().run_traced(&schedule);
 
     let mut chrome = ChromeTrace::new();
@@ -1423,10 +1384,10 @@ fn trace(args: &[String], template: Option<&ArchTemplate>) -> PacqResult<String>
         chrome.name_lane(1, *lane, name);
     }
     chrome.set_metadata("architecture", Json::from(arch.to_string()));
-    chrome.set_metadata("precision", Json::from(opts.precision.to_string()));
+    chrome.set_metadata("precision", Json::from(precision.to_string()));
     chrome.set_metadata("cycles", Json::from(replay.cycles));
     chrome.set_metadata("time_units", Json::from("1 trace microsecond = 1 SM cycle"));
-    chrome.write_to(&out)?;
+    chrome.write_to(out)?;
     Ok(format!(
         "wrote Chrome trace: {} events over {} cycles ({} stall) -> {out}\n",
         events.len(),
@@ -1962,6 +1923,15 @@ mod tests {
         assert!(cleared.contains("removed"), "{cleared}");
         assert!(run(&argv("cache stats")).is_err(), "--dir is required");
         assert!(cached("cache frobnicate").is_err());
+        // A stray token is named, not the valid action before it.
+        for (cmd, stray) in [("cache stats --dri x", "--dri"), ("cache x stats", "x")] {
+            let err = cached(cmd).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{cmd}: {err}");
+            assert!(
+                err.to_string().contains(&format!("`{stray}`")),
+                "{cmd}: {err}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2332,5 +2302,152 @@ mod tests {
         assert_ne!(d1, d4);
         let int2 = run(&argv("analyze --shape m16n256k256 --precision int2")).unwrap();
         assert!(int2.contains("INT2"));
+    }
+
+    /// The flags a table accepts (every row but the refused ones).
+    fn accepted(table: &[Flag]) -> Vec<&'static str> {
+        let mut names: Vec<&str> = table
+            .iter()
+            .filter(|f| !matches!(f, Flag::Refused(..)))
+            .map(Flag::name)
+            .collect();
+        names.sort_unstable();
+        names
+    }
+
+    #[test]
+    fn every_table_matches_its_usage_synopsis() {
+        for (command, table) in COMMANDS {
+            // The synopsis: the `  pacq <command>` line plus its
+            // deeper-indented continuation lines.
+            let head = format!("  pacq {command} ");
+            let synopsis: String = USAGE
+                .lines()
+                .skip_while(|l| !l.starts_with(&head))
+                .enumerate()
+                .take_while(|(i, l)| *i == 0 || l.starts_with("   "))
+                .map(|(_, l)| format!("{l} "))
+                .collect();
+            let mut listed: Vec<&str> = synopsis
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|w| w.starts_with("--"))
+                .collect();
+            listed.sort_unstable();
+            listed.dedup();
+            assert_eq!(listed, accepted(table), "`pacq {command}`: {synopsis}");
+        }
+    }
+
+    #[test]
+    fn every_command_refuses_every_flag_outside_its_table() {
+        // `run` reads PACQ_JOBS/PACQ_BACKEND, which other tests set.
+        let _guard = crate::par::test_lock();
+        let dir = tmp_dir("refused");
+        let file = tmp_path("refused");
+        // Each base argv runs successfully (or, for serve and loadgen,
+        // fails only for want of a target), so an accepted stray flag
+        // would show as a different exit code.
+        let base = |command: &str| -> Vec<String> {
+            let text = match command {
+                "analyze" | "compare" | "exec" => format!("{command} --shape m16n16k16"),
+                "sweep" => "sweep --param dup --shape m16n16k16".to_string(),
+                "dse" => "dse --shape m16n16k16 --param batch=16 --param arch=pacq".to_string(),
+                "cache" => format!("cache stats --dir {dir}"),
+                "trace" => format!("trace --out {file}"),
+                other => other.to_string(),
+            };
+            argv(&text)
+        };
+        let sample = |flag: &str| -> &str {
+            match flag {
+                "--shape" => "m16n16k16",
+                "--arch" => "pacq",
+                "--precision" => "int4",
+                "--group" => "g128",
+                "--param" => "batch",
+                "--shard" => "1/1",
+                "--checkpoint" | "--out" | "--dir" | "--ready-log" => &file,
+                "--addr" => "127.0.0.1:9",
+                _ => "4",
+            }
+        };
+        let mut every: Vec<Flag> = COMMANDS
+            .iter()
+            .flat_map(|(_, t)| t.iter().copied())
+            .collect();
+        every.retain(|f| !matches!(f, Flag::Refused(..)));
+        for (command, table) in COMMANDS {
+            if !matches!(*command, "serve" | "loadgen") {
+                run(&base(command)).unwrap_or_else(|e| panic!("`{command}` base: {e}"));
+            }
+            for flag in every
+                .iter()
+                .filter(|f| !accepted(table).contains(&f.name()))
+            {
+                let mut args = base(command);
+                args.push(flag.name().to_string());
+                if !matches!(flag, Flag::Switch(_)) {
+                    args.push(sample(flag.name()).to_string());
+                }
+                let e = run(&args).expect_err(&format!("{args:?} must be refused"));
+                assert_eq!(e.exit_code(), 2, "{args:?}: {e}");
+                assert!(e.to_string().contains(flag.name()), "{args:?}: {e}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&file).ok();
+    }
+
+    #[test]
+    fn flags_take_either_spelling_once_except_param() {
+        // `run` reads PACQ_JOBS/PACQ_BACKEND, which other tests set.
+        let _guard = crate::par::test_lock();
+        let spaced = run(&argv("analyze --shape m16n256k256")).expect("runs");
+        let joined = run(&argv("analyze --shape=m16n256k256")).expect("`--f=V` spelling");
+        assert_eq!(spaced, joined);
+        for cmd in [
+            "analyze --shape m16n256k256 --shape m16n512k512",
+            "analyze --shape m16n256k256 --json --json",
+            "sweep --param dup --shape m16n256k256 --shape=m16n256k256",
+        ] {
+            let e = run(&argv(cmd)).unwrap_err();
+            assert_eq!(e.exit_code(), 2, "{cmd}: {e}");
+            assert!(e.to_string().contains("given twice"), "{cmd}: {e}");
+        }
+        let out = run(&argv(
+            "dse --shape m16n256k256 --param batch=16 --param=arch=pacq --param width=4,8",
+        ))
+        .expect("repeated --param");
+        assert!(out.contains("dse: 4 points"), "{out}");
+    }
+
+    #[test]
+    fn ignored_precision_and_group_point_to_param() {
+        // `run` reads PACQ_JOBS/PACQ_BACKEND, which other tests set.
+        let _guard = crate::par::test_lock();
+        for (cmd, needle) in [
+            (
+                "dse --shape m16n256k256 --precision int2",
+                "--param precision=",
+            ),
+            ("dse --shape m16n256k256 --group g256", "--param group="),
+            (
+                "sweep --param grid --shape m16n256k256 --precision int2",
+                "--param precision=",
+            ),
+        ] {
+            let e = run(&argv(cmd)).unwrap_err();
+            assert_eq!(e.exit_code(), 2, "{cmd}: {e}");
+            assert!(e.to_string().contains(needle), "{cmd}: {e}");
+        }
+        // The other arms still price the precision they are given.
+        let out = run(&argv(
+            "sweep --param batch --shape m16n256k256 --precision int2",
+        ))
+        .unwrap();
+        assert_ne!(
+            out,
+            run(&argv("sweep --param batch --shape m16n256k256")).unwrap()
+        );
     }
 }

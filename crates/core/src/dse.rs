@@ -30,6 +30,7 @@
 
 use rayon::prelude::*;
 
+use crate::cli;
 use crate::params::ParamSpec;
 use crate::report::GemmReport;
 use crate::runner::GemmRunner;
@@ -212,64 +213,13 @@ impl DseAxes {
             }
             let values = &spec.values;
             match spec.name.as_str() {
-                "batch" => {
-                    self.batch = values
-                        .iter()
-                        .map(|v| {
-                            let m: usize = v
-                                .parse()
-                                .map_err(|_| err(format!("--param batch: bad batch `{v}`")))?;
-                            if m == 0 || !m.is_multiple_of(16) {
-                                return Err(err(format!(
-                                    "--param batch: batch `{v}` must be a non-zero multiple of 16"
-                                )));
-                            }
-                            Ok(m)
-                        })
-                        .collect::<PacqResult<Vec<usize>>>()?;
-                }
-                "arch" => {
-                    self.arch = values
-                        .iter()
-                        .map(|v| crate::cli::parse_arch(v))
-                        .collect::<PacqResult<Vec<Architecture>>>()?;
-                }
-                "precision" => {
-                    self.precision = values
-                        .iter()
-                        .map(|v| crate::cli::parse_precision(v))
-                        .collect::<PacqResult<Vec<WeightPrecision>>>()?;
-                }
-                "width" => {
-                    self.width = values
-                        .iter()
-                        .map(|v| match v.parse() {
-                            Ok(w @ (4 | 8 | 16)) => Ok(w),
-                            _ => Err(err(format!("--param width: `{v}` must be 4, 8 or 16"))),
-                        })
-                        .collect::<PacqResult<Vec<usize>>>()?;
-                }
-                "dup" => {
-                    self.dup = values
-                        .iter()
-                        .map(|v| match v.parse() {
-                            Ok(d @ (1 | 2 | 4)) => Ok(d),
-                            _ => Err(err(format!("--param dup: `{v}` must be 1, 2 or 4"))),
-                        })
-                        .collect::<PacqResult<Vec<usize>>>()?;
-                }
-                "group" => {
-                    self.group = values
-                        .iter()
-                        .map(|v| crate::cli::parse_group(v))
-                        .collect::<PacqResult<Vec<GroupShape>>>()?;
-                }
-                "mapping" => {
-                    self.mapping = values
-                        .iter()
-                        .map(|v| Mapping::parse(v))
-                        .collect::<PacqResult<Vec<Mapping>>>()?;
-                }
+                "batch" => self.batch = each(values, parse_batch)?,
+                "arch" => self.arch = each(values, cli::parse_arch)?,
+                "precision" => self.precision = each(values, cli::parse_precision)?,
+                "width" => self.width = each(values, cli::parse_width)?,
+                "dup" => self.dup = each(values, cli::parse_dup)?,
+                "group" => self.group = each(values, cli::parse_group)?,
+                "mapping" => self.mapping = each(values, Mapping::parse)?,
                 other => {
                     return Err(err(format!(
                         "--param {other}: unknown dse axis (batch, arch, precision, width, dup, group, mapping)"
@@ -278,6 +228,23 @@ impl DseAxes {
             }
         }
         Ok(())
+    }
+}
+
+/// Runs every value of one `--param` axis through the axis's validator
+/// (the same one behind its single-value flag).
+fn each<T>(values: &[String], parse: impl Fn(&str) -> PacqResult<T>) -> PacqResult<Vec<T>> {
+    values.iter().map(|v| parse(v)).collect()
+}
+
+/// A `--param batch=...` value: a non-zero multiple of 16.
+fn parse_batch(v: &str) -> PacqResult<usize> {
+    match v.parse::<usize>() {
+        Ok(m) if m != 0 && m.is_multiple_of(16) => Ok(m),
+        Ok(_) => Err(err(format!(
+            "--param batch: batch `{v}` must be a non-zero multiple of 16"
+        ))),
+        Err(_) => Err(err(format!("--param batch: bad batch `{v}`"))),
     }
 }
 

@@ -58,6 +58,7 @@ pub mod activity;
 pub mod backend;
 pub mod cli;
 pub mod dse;
+pub mod flags;
 pub mod llama;
 pub mod loadgen;
 pub mod par;
@@ -80,7 +81,8 @@ pub use serve::{ServeOptions, ServeSummary, Server};
 // The result-cache and sharding layer (`--cache`, `--shard`,
 // `--checkpoint`; DESIGN.md §12).
 pub use pacq_cache::{
-    CacheKey, CacheStats, CachedReport, ReportCache, Shard, SweepCheckpoint, VerifyOutcome,
+    arch_token, precision_token, CacheKey, CacheStats, CachedReport, ReportCache, Shard,
+    SweepCheckpoint, VerifyOutcome,
 };
 
 // The declarative architecture-template layer (`pacq-arch/v1`,

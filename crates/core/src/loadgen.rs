@@ -33,6 +33,7 @@
 
 use crate::cli;
 use crate::dse::EvalPoint;
+use crate::flags::Args;
 use crate::runner::GemmRunner;
 use crate::serve::{validate_serve_count, ServeOptions, Server};
 use pacq_cache::ReportCache;
@@ -357,7 +358,8 @@ enum Target {
 
 /// `pacq loadgen (--addr HOST:PORT | --ready-log FILE | --spawn)
 /// [--requests N] [--clients N] [--window N] [--unique N] [--sample N]`
-/// — drives the workload and returns the human summary.
+/// — validates the loadgen flags (argv already split against
+/// loadgen's table), drives the workload and returns the human summary.
 ///
 /// # Errors
 ///
@@ -365,62 +367,38 @@ enum Target {
 /// connection failures and lost replies; audit-class for a sampled
 /// report that differs from in-process computation.
 pub fn run_cli(
-    args: &[String],
+    flags: &Args,
     cache: Option<Arc<ReportCache>>,
     backend: Backend,
 ) -> PacqResult<String> {
-    let usage = |msg: &str| PacqError::usage(msg.to_string());
-    let mut target: Option<Target> = None;
-    let mut set_target = |t: Target| -> PacqResult<()> {
-        if target.is_some() {
-            return Err(PacqError::usage(
-                "pass exactly one of --addr, --ready-log, --spawn".to_string(),
-            ));
-        }
-        target = Some(t);
-        Ok(())
+    let count = |name: &str, max: u64, default: u64| {
+        flags
+            .get(name, |v| validate_serve_count(v, name, max))
+            .map(|n| n.unwrap_or(default))
     };
-    let mut requests = DEFAULT_REQUESTS;
-    let mut clients = DEFAULT_CLIENTS;
-    let mut window = DEFAULT_WINDOW;
-    let mut unique = DEFAULT_UNIQUE;
-    let mut sample = DEFAULT_SAMPLE;
-    let mut it = args.iter().map(String::as_str);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> PacqResult<&str> {
-            it.next()
-                .ok_or_else(|| PacqError::usage(format!("missing value for {name}")))
-        };
-        match flag {
-            "--addr" => set_target(Target::Addr(value("--addr")?.to_string()))?,
-            "--ready-log" => set_target(Target::ReadyLog(value("--ready-log")?.to_string()))?,
-            "--spawn" => set_target(Target::Spawn)?,
-            "--requests" => {
-                requests = validate_serve_count(value("--requests")?, "--requests", MAX_REQUESTS)?;
-            }
-            "--clients" => {
-                clients = validate_serve_count(value("--clients")?, "--clients", MAX_CLIENTS)?;
-            }
-            "--window" => {
-                window = validate_serve_count(value("--window")?, "--window", MAX_WINDOW)?;
-            }
-            "--unique" => {
-                unique = validate_serve_count(value("--unique")?, "--unique", MAX_UNIQUE)?;
-            }
-            "--sample" => {
-                sample = validate_serve_count(value("--sample")?, "--sample", MAX_SAMPLE)?;
-            }
-            other => {
-                return Err(PacqError::usage(format!(
-                    "unknown loadgen option `{other}`"
-                )))
-            }
+    let requests = count("--requests", MAX_REQUESTS, DEFAULT_REQUESTS)?;
+    let clients = count("--clients", MAX_CLIENTS, DEFAULT_CLIENTS)?;
+    let window = count("--window", MAX_WINDOW, DEFAULT_WINDOW)?;
+    let unique = count("--unique", MAX_UNIQUE, DEFAULT_UNIQUE)?;
+    let sample = count("--sample", MAX_SAMPLE, DEFAULT_SAMPLE)?;
+    let target = match (
+        flags.value("--addr"),
+        flags.value("--ready-log"),
+        flags.has("--spawn"),
+    ) {
+        (Some(addr), None, false) => Target::Addr(addr.to_string()),
+        (None, Some(path), false) => Target::ReadyLog(path.to_string()),
+        (None, None, true) => Target::Spawn,
+        (None, None, false) => {
+            return Err(PacqError::usage(
+                "loadgen wants a target: --addr HOST:PORT, --ready-log FILE or --spawn",
+            ))
         }
-    }
-    let Some(target) = target else {
-        return Err(usage(
-            "loadgen wants a target: --addr HOST:PORT, --ready-log FILE or --spawn",
-        ));
+        _ => {
+            return Err(PacqError::usage(
+                "pass exactly one of --addr, --ready-log, --spawn",
+            ))
+        }
     };
     let clients = clients.min(requests).max(1);
     // Sampling more points than the mix holds would wait forever on
@@ -577,8 +555,12 @@ pub fn run_cli(
 mod tests {
     use super::*;
 
-    fn argv(text: &str) -> Vec<String> {
-        text.split_whitespace().map(str::to_string).collect()
+    /// `pacq loadgen <text>`: argv split against loadgen's table.
+    fn run(text: &str) -> PacqResult<String> {
+        let argv: Vec<String> = text.split_whitespace().map(str::to_string).collect();
+        let table = cli::table("loadgen").unwrap_or_default();
+        crate::flags::parse(&argv, table, "loadgen")
+            .and_then(|f| run_cli(&f, None, Backend::Scalar))
     }
 
     #[test]
@@ -630,19 +612,15 @@ mod tests {
             "--spawn --frobnicate",  // unknown flag
             "--addr",                // missing value
         ] {
-            let err = run_cli(&argv(bad), None, Backend::Scalar).unwrap_err();
+            let err = run(bad).unwrap_err();
             assert_eq!(err.exit_code(), 2, "`{bad}`: {err}");
         }
     }
 
     #[test]
     fn spawned_smoke_run_loses_nothing_and_matches_in_process() {
-        let out = run_cli(
-            &argv("--spawn --requests 96 --clients 3 --window 4 --unique 6 --sample 6"),
-            None,
-            Backend::Scalar,
-        )
-        .expect("smoke run");
+        let out = run("--spawn --requests 96 --clients 3 --window 4 --unique 6 --sample 6")
+            .expect("smoke run");
         assert!(out.contains("96 requests"), "{out}");
         assert!(out.contains("96 ok, 0 errors, 0 lost"), "{out}");
         assert!(out.contains("6 sampled reports byte-identical"), "{out}");

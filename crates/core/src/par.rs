@@ -23,7 +23,7 @@ pub const MAX_JOBS: usize = 512;
 /// be plain (no sign — `+4` is a typo, not a count), zero is rejected,
 /// and the count is capped at [`MAX_JOBS`]. `source` names the spelling
 /// in the error message.
-fn validate_jobs(raw: &str, source: &str) -> PacqResult<usize> {
+pub(crate) fn validate_jobs(raw: &str, source: &str) -> PacqResult<usize> {
     let v = raw.trim();
     let plain_digits = !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit());
     let n: usize = if plain_digits {
@@ -52,7 +52,7 @@ fn validate_jobs(raw: &str, source: &str) -> PacqResult<usize> {
 /// Precedence: an explicit `jobs` argument (from `--jobs N`), then the
 /// [`JOBS_ENV`] environment variable, then the host parallelism.
 /// `Some(0)` restores the host default (a programmatic escape hatch; the
-/// CLI layer rejects a *user-supplied* zero via [`take_jobs_flag`] /
+/// CLI layer rejects a *user-supplied* zero via [`validate_jobs`] /
 /// [`validated_env_jobs`] before it ever reaches here).
 pub fn configure_jobs(jobs: Option<usize>) -> usize {
     let n = jobs
@@ -78,38 +78,6 @@ pub fn validated_env_jobs() -> PacqResult<Option<usize>> {
     validate_jobs(&raw, JOBS_ENV).map(Some)
 }
 
-/// Splits `--jobs N` / `--jobs=N` out of an argument list, returning the
-/// remaining arguments and the parsed count. Shared by the CLI and the
-/// figure/table binaries so every entry point spells the knob the same
-/// way.
-///
-/// # Errors
-///
-/// Returns [`PacqError::Usage`] when the value is missing, not a number,
-/// or zero.
-pub fn take_jobs_flag(args: &[String]) -> PacqResult<(Vec<String>, Option<usize>)> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut jobs = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--jobs" {
-            let v = it
-                .next()
-                .ok_or_else(|| PacqError::usage("missing value for --jobs"))?;
-            jobs = Some(parse_jobs(v)?);
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            jobs = Some(parse_jobs(v)?);
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    Ok((rest, jobs))
-}
-
-fn parse_jobs(v: &str) -> PacqResult<usize> {
-    validate_jobs(v, "--jobs")
-}
-
 /// Serializes tests that mutate the process-wide worker count.
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -126,6 +94,12 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// `--jobs` as the global flag table parses it out of `args`.
+    fn jobs_flag(args: &[String]) -> PacqResult<(Vec<String>, Option<usize>)> {
+        let (flags, rest) = crate::flags::take(args, crate::cli::GLOBAL_FLAGS)?;
+        Ok((rest, flags.get("--jobs", |v| validate_jobs(v, "--jobs"))?))
+    }
+
     #[test]
     fn explicit_jobs_win() {
         let _guard = test_lock();
@@ -138,22 +112,22 @@ mod tests {
 
     #[test]
     fn jobs_flag_is_extracted() {
-        let (rest, jobs) = take_jobs_flag(&argv("--shape m16n16k16 --jobs 4")).unwrap();
+        let (rest, jobs) = jobs_flag(&argv("--shape m16n16k16 --jobs 4")).unwrap();
         assert_eq!(jobs, Some(4));
         assert_eq!(rest, argv("--shape m16n16k16"));
-        let (rest, jobs) = take_jobs_flag(&argv("--jobs=2 sweep")).unwrap();
+        let (rest, jobs) = jobs_flag(&argv("--jobs=2 sweep")).unwrap();
         assert_eq!(jobs, Some(2));
         assert_eq!(rest, argv("sweep"));
-        let (_, jobs) = take_jobs_flag(&argv("compare")).unwrap();
+        let (_, jobs) = jobs_flag(&argv("compare")).unwrap();
         assert_eq!(jobs, None);
-        assert!(take_jobs_flag(&argv("--jobs")).is_err());
-        assert!(take_jobs_flag(&argv("--jobs many")).is_err());
+        assert!(jobs_flag(&argv("--jobs")).is_err());
+        assert!(jobs_flag(&argv("--jobs many")).is_err());
     }
 
     #[test]
     fn zero_jobs_is_a_usage_error() {
         for argv in [argv("--jobs 0"), argv("--jobs=0")] {
-            let err = take_jobs_flag(&argv).unwrap_err();
+            let err = jobs_flag(&argv).unwrap_err();
             assert!(err.is_usage(), "{err}");
             assert!(err.to_string().contains("at least 1"), "{err}");
         }
@@ -179,8 +153,7 @@ mod tests {
             ("  ", None),
         ];
         for &(input, expect) in cases {
-            let flag =
-                take_jobs_flag(&["--jobs".to_string(), input.to_string()]).map(|(_, jobs)| jobs);
+            let flag = jobs_flag(&["--jobs".to_string(), input.to_string()]).map(|(_, jobs)| jobs);
             let env = validate_jobs(input, JOBS_ENV).map(Some);
             match expect {
                 Some(n) => {
@@ -199,7 +172,7 @@ mod tests {
 
     #[test]
     fn oversized_jobs_name_the_cap() {
-        let err = take_jobs_flag(&argv("--jobs 1000")).unwrap_err();
+        let err = jobs_flag(&argv("--jobs 1000")).unwrap_err();
         assert!(err.to_string().contains("512"), "{err}");
     }
 }

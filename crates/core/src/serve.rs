@@ -38,6 +38,7 @@
 
 use crate::cli;
 use crate::dse::EvalPoint;
+use crate::flags::Args;
 use crate::runner::GemmRunner;
 use pacq_cache::ReportCache;
 use pacq_error::{PacqError, PacqResult};
@@ -487,16 +488,10 @@ fn parse_spec(doc: &Json, base: PointSpec) -> PacqResult<PointSpec> {
         spec.group = cli::parse_group(text)?;
     }
     if let Some(dup) = field_usize(doc, "dup")? {
-        if !matches!(dup, 1 | 2 | 4) {
-            return Err(PacqError::usage("`dup` expects 1, 2 or 4"));
-        }
-        spec.dup = dup;
+        spec.dup = cli::parse_dup(&dup.to_string())?;
     }
     if let Some(width) = field_usize(doc, "width")? {
-        if !matches!(width, 4 | 8 | 16) {
-            return Err(PacqError::usage("`width` expects 4, 8 or 16"));
-        }
-        spec.width = width;
+        spec.width = cli::parse_width(&width.to_string())?;
     }
     Ok(spec)
 }
@@ -1077,8 +1072,9 @@ pub fn validate_serve_count(raw: &str, source: &str, max: u64) -> PacqResult<u64
 }
 
 /// `pacq serve (--port N | --stdio) [--queue N] [--rate N] [--burst N]
-/// [--max-clients N]` — parses the serve flags and runs the matching
-/// lifecycle until drained. The `backend` comes from the global
+/// [--max-clients N]` — validates the serve flags (argv already split
+/// against serve's table) and runs the matching lifecycle until
+/// drained. The `backend` comes from the global
 /// `--backend` / `PACQ_BACKEND` knob the CLI front end already
 /// resolved.
 ///
@@ -1087,61 +1083,29 @@ pub fn validate_serve_count(raw: &str, source: &str, max: u64) -> PacqResult<u64
 /// Returns [`PacqError::Usage`] for flag errors and [`PacqError::Io`]
 /// when the TCP port cannot be bound.
 pub fn run_cli(
-    args: &[String],
+    flags: &Args,
     cache: Option<Arc<ReportCache>>,
     backend: Backend,
 ) -> PacqResult<String> {
     let usage = |msg: &str| PacqError::usage(msg.to_string());
-    let mut port: Option<u16> = None;
-    let mut stdio = false;
-    let mut queue_capacity = DEFAULT_QUEUE_CAPACITY;
-    let mut rate = 0u64;
-    let mut burst: Option<u64> = None;
-    let mut max_clients = 0usize;
-    let mut it = args.iter().map(String::as_str);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> PacqResult<&str> {
-            it.next()
-                .ok_or_else(|| PacqError::usage(format!("missing value for {name}")))
-        };
-        match flag {
-            "--port" => {
-                port = Some(
-                    value("--port")?
-                        .parse()
-                        .map_err(|_| usage("--port expects 0..65535"))?,
-                )
-            }
-            "--stdio" => stdio = true,
-            "--queue" => {
-                queue_capacity =
-                    validate_serve_count(value("--queue")?, "--queue", MAX_QUEUE_CAPACITY as u64)?
-                        as usize;
-            }
-            "--rate" => rate = validate_serve_count(value("--rate")?, "--rate", 1_000_000)?,
-            "--burst" => {
-                burst = Some(validate_serve_count(
-                    value("--burst")?,
-                    "--burst",
-                    1_000_000,
-                )?)
-            }
-            "--max-clients" => {
-                max_clients =
-                    validate_serve_count(value("--max-clients")?, "--max-clients", 10_000)? as usize
-            }
-            other => return Err(PacqError::usage(format!("unknown serve option `{other}`"))),
-        }
-    }
+    let count = |name: &str, max: u64| flags.get(name, |v| validate_serve_count(v, name, max));
+    let port: Option<u16> = flags.get("--port", |v| {
+        v.parse().map_err(|_| usage("--port expects 0..65535"))
+    })?;
+    let stdio = flags.has("--stdio");
+    let queue = count("--queue", MAX_QUEUE_CAPACITY as u64)?;
+    let rate = count("--rate", 1_000_000)?.unwrap_or(0);
+    let burst = count("--burst", 1_000_000)?;
+    let max_clients = count("--max-clients", 10_000)?;
     if burst.is_some() && rate == 0 {
         return Err(usage("--burst only makes sense together with --rate"));
     }
     let options = ServeOptions {
-        queue_capacity,
+        queue_capacity: queue.map_or(DEFAULT_QUEUE_CAPACITY, |q| q as usize),
         backend,
         rate,
         burst: burst.unwrap_or(rate),
-        max_clients,
+        max_clients: max_clients.unwrap_or(0) as usize,
         ..ServeOptions::default()
     };
     let summary = match (port, stdio) {
@@ -1437,7 +1401,12 @@ mod tests {
 
     #[test]
     fn serve_cli_flags_are_validated() {
-        let argv = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        let run = |s: &str| {
+            let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
+            let table = cli::table("serve").unwrap_or_default();
+            crate::flags::parse(&argv, table, "serve")
+                .and_then(|f| run_cli(&f, None, Backend::Scalar))
+        };
         for bad in [
             "",
             "--port 1 --stdio",
@@ -1453,7 +1422,7 @@ mod tests {
             "--max-clients 0",
             "--frobnicate",
         ] {
-            let err = run_cli(&argv(bad), None, Backend::Scalar).unwrap_err();
+            let err = run(bad).unwrap_err();
             assert!(err.is_usage(), "`{bad}`: {err}");
         }
     }

@@ -50,7 +50,8 @@ impl SweepArm {
             "dup" => Ok(SweepArm::Dup),
             "width" => Ok(SweepArm::Width),
             other => Err(PacqError::usage(format!(
-                "unknown sweep parameter `{other}`"
+                "unknown sweep parameter `{other}` (want batch, dup, width or grid; \
+                 value lists belong to `pacq dse`)"
             ))),
         }
     }

@@ -435,6 +435,11 @@ fn cli_malformed_shape_has_usage_exit_code() {
         "sweep --param width --arch packedk --shape m16n16k16",
         "sweep --param dup --dup 4 --shape m16n16k16",
         "sweep --param width --width 16 --shape m16n16k16",
+        // Precision and group are dse axes; the grid preset walks both
+        // precisions itself.
+        "dse --shape m16n16k16 --precision int2",
+        "dse --shape m16n16k16 --group g256",
+        "sweep --param grid --precision int2 --shape m16n16k16",
     ] {
         let err = cli::run(&argv(cmd)).unwrap_err();
         assert!(err.is_usage(), "{cmd}: {err}");
