@@ -71,15 +71,17 @@ lookups, bit-identical to fresh runs — see DESIGN.md §12), and
 front of the disk store; hits are bit-identical and tallied separately
 as cache.hot_hits/hot_misses/hot_evictions — see DESIGN.md §15).
 
-analyze, compare, sweep, dse, exec and trace also accept
---arch-template FILE: a declarative pacq-arch/v1 architecture template
-(TOML or JSON, see DESIGN.md §18) replacing the builtin Volta-like
-machine — memory hierarchy capacities and access energies, datapath
-widths, clock and dataflow all come from the file, and the template's
-content digest is folded into every cache key, checkpoint binding and
-run manifest, so editing the template invalidates stale artifacts with
-typed errors. The template pins the dataflow, so --arch conflicts with
-it. Committed examples: examples/arch/volta_like.toml (the hardcoded
+analyze, compare, sweep, dse, exec, trace, serve and loadgen also
+accept --arch-template FILE: a declarative pacq-arch/v1 architecture
+template (TOML or JSON, see DESIGN.md §18) replacing the builtin
+Volta-like machine — memory hierarchy capacities and access energies,
+datapath widths, clock and dataflow all come from the file, and the
+template's content digest is folded into every cache key, checkpoint
+binding and run manifest, so editing the template invalidates stale
+artifacts with typed errors. The template pins the dataflow, so --arch
+conflicts with it (a serve frame that names `arch` prices that
+dataflow on the template's machine, as dse's --param arch does).
+Committed examples: examples/arch/volta_like.toml (the hardcoded
 Table I machine, bit for bit), examples/arch/pacq.toml and
 examples/arch/input_stationary.toml (dataflow = \"is\": the activation
 tile held in the tensor-core buffers across the n loop).
@@ -153,7 +155,10 @@ typed queue_full error frame, exit-code class 8). Admission control:
 bucket; denials are typed rate_limited frames, class 8), --burst N sets
 the bucket capacity (defaults to the rate), and --max-clients N turns
 away connections beyond N at the accept gate. A `shutdown` frame or
-stdio EOF drains gracefully. See DESIGN.md §13 and §16.
+stdio EOF drains gracefully. Frames price on the run's machine (the
+--arch-template one, else the builtin): a field a frame omits takes
+the template's dataflow (else pacq), int4, and the machine's own
+width, dup and group. See DESIGN.md §13 and §16.
 
 `pacq loadgen` drives a live pacq serve instance with a deterministic
 mixed-point analyze workload: --requests N total requests across
@@ -162,11 +167,13 @@ cycling --unique distinct evaluation points (repeats exercise the
 cache tiers). The target is --addr HOST:PORT, --ready-log FILE (polls
 a server log for the pacq-serve/v1 ready frame, as written by
 `pacq serve --port 0`), or --spawn (an in-process server sharing this
-invocation's --cache/--hot/--backend). Every request must be answered
-exactly once (lost replies are a typed error); the first --sample
-unique points are re-evaluated in process and must match the served
-bytes exactly. Latency p50/p95/p99, a log2 histogram, and throughput
-go to stdout and the --metrics manifest. See DESIGN.md §16.
+invocation's --arch-template/--cache/--hot/--backend). Every request
+must be answered exactly once (lost replies are a typed error); the
+first --sample unique points are re-evaluated in process on this
+invocation's machine and must match the served bytes exactly, so with
+--addr or --ready-log pass the server's --arch-template too. Latency
+p50/p95/p99, a log2 histogram, and throughput go to stdout and the
+--metrics manifest. See DESIGN.md §16.
 
 EXAMPLES:
   pacq analyze --shape m16n4096k4096 --arch pacq
@@ -396,10 +403,12 @@ impl Globals {
         Ok((globals, rest))
     }
 
-    /// The run's base runner: the template's machine (or the builtin
+    /// The run's base runner — every command, the server and the load
+    /// generator build on it: the template's machine (or the builtin
     /// one) with the cache and backend attached. The template's
-    /// per-level energies price every report, and its content digest
-    /// travels into cache keys, checkpoint bindings and provenance.
+    /// per-level energies price every report, its content digest
+    /// travels into cache keys, checkpoint bindings and provenance, and
+    /// its dataflow is the default architecture ([`default_point`]).
     ///
     /// # Errors
     ///
@@ -409,13 +418,10 @@ impl Globals {
         let runner = GemmRunner::new()
             .with_cache_opt(self.cache.clone())
             .with_backend(self.backend);
-        Ok(match &self.template {
-            Some(t) => runner
-                .with_config(t.sm_config())
-                .with_energy_model(t.energy_model()?)
-                .with_template_digest(t.digest()),
-            None => runner,
-        })
+        match &self.template {
+            Some(t) => runner.with_template(t),
+            None => Ok(runner),
+        }
     }
 
     /// With `--metrics`, drains the collector into a run manifest
@@ -473,15 +479,12 @@ fn dispatch(args: &[String], globals: &Globals) -> PacqResult<String> {
     let Some(table) = table(command) else {
         return Err(err(format!("unknown command `{command}`")));
     };
-    // Commands that don't simulate a machine have nothing to apply a
-    // template to — silently ignoring the flag would misattribute their
-    // output to the template.
-    if globals.template.is_some() && matches!(command, "cache" | "serve" | "loadgen") {
-        return Err(err(format!(
-            "--arch-template does not apply to `{command}`"
-        )));
-    }
     if command == "cache" {
+        // The store holds reports of any machine; silently ignoring the
+        // flag would misattribute its output to the template.
+        if globals.template.is_some() {
+            return Err(err("--arch-template does not apply to `cache`"));
+        }
         return cache_cmd(rest, table, globals.cache.as_ref());
     }
     let flags = flags::parse(rest, table, command)?;
@@ -493,24 +496,8 @@ fn dispatch(args: &[String], globals: &Globals) -> PacqResult<String> {
         "exec" => exec(&flags, globals),
         "audit" => audit(&flags, globals),
         "trace" => trace(&flags, globals),
-        "serve" => crate::serve::run_cli(&flags, globals.cache.clone(), globals.backend),
-        _ => crate::loadgen::run_cli(&flags, globals.cache.clone(), globals.backend),
-    }
-}
-
-/// The architecture a single-point command simulates: the `--arch` flag
-/// without a template, the template's dataflow with one (an explicit
-/// `--arch` then conflicts — the template pins the dataflow), PacQ when
-/// neither says.
-fn resolve_arch(flags: &Args, template: Option<&ArchTemplate>) -> PacqResult<Architecture> {
-    match (flags.get("--arch", parse_arch)?, template) {
-        (Some(_), Some(_)) => Err(err(
-            "--arch conflicts with --arch-template: the template's dataflow/packing/dequant \
-             triple pins the architecture",
-        )),
-        (Some(a), None) => Ok(a),
-        (None, Some(t)) => t.architecture(),
-        (None, None) => Ok(Architecture::Pacq),
+        "serve" => crate::serve::run_cli(&flags, globals.runner()?),
+        _ => crate::loadgen::run_cli(&flags, globals.runner()?),
     }
 }
 
@@ -521,28 +508,51 @@ fn required_shape(flags: &Args) -> PacqResult<GemmShape> {
         .ok_or_else(|| err("--shape is required (e.g. --shape m16n4096k4096)"))
 }
 
-/// The evaluation point a command's flags name over `base`:
-/// `--precision` (default INT4), and `--dup`/`--width`/`--group`
-/// overriding the base machine's own. Price it through
-/// [`EvalPoint::runner`].
+/// The point `base` prices at `shape` when nothing overrides a field:
+/// the base's default architecture (the template's dataflow, PacQ on
+/// the builtin machine), INT4, and the base machine's own DP width,
+/// adder-tree duplication and group. CLI flags, the dse and sweep
+/// axes, serve frames and loadgen's reference all start here.
+pub(crate) fn default_point(base: &GemmRunner, shape: GemmShape) -> EvalPoint {
+    let cfg = base.config();
+    EvalPoint {
+        arch: base.default_arch(),
+        workload: Workload::new(shape, WeightPrecision::Int4),
+        width: cfg.dp_width,
+        dup: cfg.adder_tree_duplication,
+        group: base.group(),
+        mapping: None,
+    }
+}
+
+/// The run's base runner and the point a command's flags name over it
+/// ([`default_point`] overridden by `--arch`, `--precision`, `--dup`,
+/// `--width` and `--group`). Price it through [`EvalPoint::runner`].
+/// A template pins the dataflow, so `--arch` conflicts with it.
 fn eval_point(
     flags: &Args,
-    base: &GemmRunner,
-    arch: Architecture,
+    globals: &Globals,
     shape: GemmShape,
-) -> PacqResult<EvalPoint> {
-    let cfg = base.config();
+) -> PacqResult<(GemmRunner, EvalPoint)> {
+    let arch = flags.get("--arch", parse_arch)?;
+    if arch.is_some() && globals.template.is_some() {
+        return Err(err(
+            "--arch conflicts with --arch-template: the template's dataflow/packing/dequant \
+             triple pins the architecture",
+        ));
+    }
+    let base = globals.runner()?;
+    let d = default_point(&base, shape);
     let precision = flags.get("--precision", parse_precision)?;
-    Ok(EvalPoint {
-        arch,
-        workload: Workload::new(shape, precision.unwrap_or(WeightPrecision::Int4)),
-        width: flags.get("--width", parse_width)?.unwrap_or(cfg.dp_width),
-        dup: flags
-            .get("--dup", parse_dup)?
-            .unwrap_or(cfg.adder_tree_duplication),
-        group: flags.get("--group", parse_group)?.unwrap_or(base.group()),
+    let point = EvalPoint {
+        arch: arch.unwrap_or(d.arch),
+        workload: Workload::new(shape, precision.unwrap_or(d.workload.precision)),
+        width: flags.get("--width", parse_width)?.unwrap_or(d.width),
+        dup: flags.get("--dup", parse_dup)?.unwrap_or(d.dup),
+        group: flags.get("--group", parse_group)?.unwrap_or(d.group),
         mapping: None,
-    })
+    };
+    Ok((base, point))
 }
 
 /// Parses the paper's `mMnNkK` shape notation.
@@ -679,11 +689,9 @@ fn result_digest(c: &pacq_quant::MatrixF32) -> u64 {
 /// *and* batched backends, asserts bit-identity, and reports the
 /// speedup.
 fn exec(flags: &Args, globals: &Globals) -> PacqResult<String> {
-    let arch = resolve_arch(flags, globals.template.as_ref())?;
-    let base = globals.runner()?;
-    let point = eval_point(flags, &base, arch, required_shape(flags)?)?;
+    let (base, point) = eval_point(flags, globals, required_shape(flags)?)?;
     let _span = pacq_trace::span("cli.exec");
-    let Workload { shape, precision } = point.workload;
+    let (arch, Workload { shape, precision }) = (point.arch, point.workload);
     let (m, n, k) = (shape.m, shape.n, shape.k);
     let runner = point.runner(&base);
     let mut g = SynthGenerator::new((m ^ (n << 8) ^ (k << 16)) as u64 | 1);
@@ -762,10 +770,8 @@ fn exec(flags: &Args, globals: &Globals) -> PacqResult<String> {
 }
 
 fn analyze(flags: &Args, globals: &Globals) -> PacqResult<String> {
-    let arch = resolve_arch(flags, globals.template.as_ref())?;
-    let base = globals.runner()?;
-    let point = eval_point(flags, &base, arch, required_shape(flags)?)?;
-    let report = point.runner(&base).analyze(arch, point.workload)?;
+    let (base, point) = eval_point(flags, globals, required_shape(flags)?)?;
+    let report = point.runner(&base).analyze(point.arch, point.workload)?;
     if flags.has("--json") {
         Ok(report_json(&report))
     } else {
@@ -777,8 +783,7 @@ fn compare(flags: &Args, globals: &Globals) -> PacqResult<String> {
     // With a template, compare runs all three dataflows on the
     // template's *machine* (capacities, datapath, energies) — the
     // template's own dataflow triple picks none of them out.
-    let base = globals.runner()?;
-    let point = eval_point(flags, &base, Architecture::Pacq, required_shape(flags)?)?;
+    let (base, point) = eval_point(flags, globals, required_shape(flags)?)?;
     let (runner, wl) = (point.runner(&base), point.workload);
     let cmp = Comparison::new(vec![
         runner.analyze(Architecture::StandardDequant, wl)?,
@@ -857,8 +862,7 @@ fn sweep(flags: &Args, globals: &Globals) -> PacqResult<String> {
     }
     // The arm fixes its own architectures: the point only carries the
     // machine overrides.
-    let base = globals.runner()?;
-    let point = eval_point(flags, &base, Architecture::Pacq, shape)?;
+    let (base, point) = eval_point(flags, globals, shape)?;
     let base = point.runner(&base);
     let axes = arm.axes(&base, shape, point.workload.precision);
     let (outcome, shard) = run_grid(flags, shape, &base, &axes)?;
@@ -879,8 +883,8 @@ fn sweep(flags: &Args, globals: &Globals) -> PacqResult<String> {
 fn dse(flags: &Args, globals: &Globals) -> PacqResult<String> {
     let shape = required_shape(flags)?;
     let base = globals.runner()?;
-    let cfg = *base.config();
-    let mut axes = DseAxes::defaults(cfg.dp_width, cfg.adder_tree_duplication, base.group());
+    let d = default_point(&base, shape);
+    let mut axes = DseAxes::defaults(d.width, d.dup, d.group);
     axes.apply(&parse_params(&flags.values("--param"))?)?;
     let (outcome, shard) = run_grid(flags, shape, &base, &axes)?;
 
@@ -1350,15 +1354,13 @@ fn audit_roofline(n: usize, k: usize, bits: u32) -> PacqResult<u64> {
 /// pipeline and writes the cycle-resolved activity as Chrome trace_event
 /// JSON (1 trace microsecond = 1 SM cycle).
 fn trace(flags: &Args, globals: &Globals) -> PacqResult<String> {
-    let arch = resolve_arch(flags, globals.template.as_ref())?;
     let out = flags
         .value("--out")
         .ok_or_else(|| err("--out PATH is required for trace"))?;
     // One octet is shape-independent: the point only carries the
-    // precision and the machine overrides.
-    let base = globals.runner()?;
-    let point = eval_point(flags, &base, arch, GemmShape::M16N16K16)?;
-    let precision = point.workload.precision;
+    // architecture, precision and the machine overrides.
+    let (base, point) = eval_point(flags, globals, GemmShape::M16N16K16)?;
+    let (arch, precision) = (point.arch, point.workload.precision);
     let schedule = octet_schedule(arch, precision, point.runner(&base).config());
     let (replay, events) = OctetPipeline::new().run_traced(&schedule);
 
@@ -2230,13 +2232,28 @@ mod tests {
         std::fs::remove_file(&path).ok();
         // Commands with no machine to describe reject the flag.
         let path = write_template("volta2", &crate::ArchTemplate::volta_like().render());
-        let err = run(&[
-            "audit".to_string(),
-            "--arch-template".to_string(),
-            path.clone(),
-        ])
-        .unwrap_err();
-        assert!(err.is_usage(), "{err}");
+        for command in ["audit", "cache stats --dir ."] {
+            let mut args = argv(command);
+            args.extend(["--arch-template".to_string(), path.clone()]);
+            let err = run(&args).unwrap_err();
+            assert!(err.is_usage(), "{command}: {err}");
+            assert!(
+                err.to_string().contains("--arch-template"),
+                "{command}: {err}"
+            );
+        }
+        // serve and loadgen build on the template's machine: only their
+        // own malformed flags fail.
+        for command in ["serve --port notaport", "loadgen --spawn --requests 0"] {
+            let mut args = argv(command);
+            args.extend(["--arch-template".to_string(), path.clone()]);
+            let err = run(&args).unwrap_err();
+            assert!(err.is_usage(), "{command}: {err}");
+            assert!(
+                !err.to_string().contains("--arch-template"),
+                "{command}: {err}"
+            );
+        }
         std::fs::remove_file(&path).ok();
         // And a missing value is a usage error.
         assert!(run(&argv("analyze --shape m16n16k16 --arch-template")).is_err());

@@ -28,18 +28,18 @@
 //! The target comes from exactly one of `--addr HOST:PORT` (a running
 //! server), `--ready-log FILE` (poll a server's stdout log for its
 //! ready frame — the CI pattern), or `--spawn` (bind an in-process
-//! [`Server`] on an ephemeral port, sharing this invocation's
-//! `--cache`/`--hot`/`--backend`, and drain it when the run ends).
+//! [`Server`] on an ephemeral port over this invocation's base runner —
+//! `--arch-template`, `--cache`/`--hot` and `--backend` — and drain it
+//! when the run ends). The byte check prices on that same base, so an
+//! `--addr`/`--ready-log` run needs the server's `--arch-template` too.
 
 use crate::cli;
 use crate::dse::EvalPoint;
 use crate::flags::Args;
 use crate::runner::GemmRunner;
 use crate::serve::{validate_serve_count, ServeOptions, Server};
-use pacq_cache::ReportCache;
 use pacq_error::{PacqError, PacqResult};
-use pacq_fp16::{Backend, WeightPrecision};
-use pacq_quant::GroupShape;
+use pacq_fp16::WeightPrecision;
 use pacq_simt::{Architecture, Workload};
 use pacq_trace::Json;
 use std::collections::HashMap;
@@ -152,20 +152,18 @@ fn request_line(id: u64, point: &MixPoint) -> String {
     frame.render_line()
 }
 
-/// Recomputes `point` in-process under the serve-side defaults (the
-/// builtin machine, `dup 2`, `width 4`, `g128`) without any cache, and
-/// renders the report in the lossless `pacq-cache/v1` encoding — the
-/// exact string a conforming server must have sent.
-fn reference_line(point: &MixPoint, backend: Backend) -> PacqResult<String> {
+/// Recomputes `point` in-process over `base` with the server's frame
+/// defaults ([`cli::default_point`]) and renders the report in the
+/// lossless `pacq-cache/v1` encoding — the exact string a conforming
+/// server on the same base must have sent.
+fn reference_line(point: &MixPoint, base: &GemmRunner) -> PacqResult<String> {
+    let shape = cli::parse_shape(&point.shape)?;
     let point = EvalPoint {
         arch: point.arch,
-        workload: Workload::new(cli::parse_shape(&point.shape)?, point.precision),
-        width: 4,
-        dup: 2,
-        group: GroupShape::G128,
-        mapping: None,
+        workload: Workload::new(shape, point.precision),
+        ..cli::default_point(base, shape)
     };
-    let runner = point.runner(&GemmRunner::new().with_backend(backend));
+    let runner = point.runner(base);
     let report = runner.analyze(point.arch, point.workload)?;
     let key = runner.cache_key(point.arch, point.workload);
     Ok(report.to_cached().to_json(&key).render_line())
@@ -360,17 +358,15 @@ enum Target {
 /// [--requests N] [--clients N] [--window N] [--unique N] [--sample N]`
 /// — validates the loadgen flags (argv already split against
 /// loadgen's table), drives the workload and returns the human summary.
+/// `base` is the CLI's [`cli::Globals::runner`]: a `--spawn` server
+/// runs on it, and the sampled reports are re-priced on it cache-free.
 ///
 /// # Errors
 ///
 /// Usage errors for flag problems; io/protocol-class errors for
 /// connection failures and lost replies; audit-class for a sampled
 /// report that differs from in-process computation.
-pub fn run_cli(
-    flags: &Args,
-    cache: Option<Arc<ReportCache>>,
-    backend: Backend,
-) -> PacqResult<String> {
+pub fn run_cli(flags: &Args, base: GemmRunner) -> PacqResult<String> {
     let count = |name: &str, max: u64, default: u64| {
         flags
             .get(name, |v| validate_serve_count(v, name, max))
@@ -408,11 +404,8 @@ pub fn run_cli(
     let spawned = match &target {
         Target::Spawn => Some(Server::bind(
             "127.0.0.1:0",
-            ServeOptions {
-                backend,
-                ..ServeOptions::default()
-            },
-            cache,
+            ServeOptions::default(),
+            base.clone(),
         )?),
         Target::Addr(_) | Target::ReadyLog(_) => None,
     };
@@ -473,6 +466,7 @@ pub fn run_cli(
     }
 
     // Byte-identity spot check against fresh in-process computation.
+    let base = base.with_cache_opt(None);
     let mut sampled = 0u64;
     for (slot, rendering) in served.iter().enumerate() {
         let Some(rendering) = rendering else {
@@ -482,7 +476,7 @@ pub fn run_cli(
             continue;
         };
         let point = &points[slot];
-        let expected = reference_line(point, backend)?;
+        let expected = reference_line(point, &base)?;
         if *rendering != expected {
             return Err(PacqError::AuditMismatch {
                 counter: "loadgen.report_bytes".to_string(),
@@ -559,8 +553,7 @@ mod tests {
     fn run(text: &str) -> PacqResult<String> {
         let argv: Vec<String> = text.split_whitespace().map(str::to_string).collect();
         let table = cli::table("loadgen").unwrap_or_default();
-        crate::flags::parse(&argv, table, "loadgen")
-            .and_then(|f| run_cli(&f, None, Backend::Scalar))
+        crate::flags::parse(&argv, table, "loadgen").and_then(|f| run_cli(&f, GemmRunner::new()))
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use crate::report::GemmReport;
+use pacq_arch::ArchTemplate;
 use pacq_cache::{arch_token, config_canonical, CacheKey, CachedReport, ReportCache};
 use pacq_error::PacqResult;
 use pacq_fp16::{Backend, NumericsMode, WeightPrecision};
@@ -46,6 +47,9 @@ pub struct GemmRunner {
     /// from, if any. Folded into [`GemmRunner::arch_id`] so cache
     /// entries and checkpoints are bound to the template's content.
     template_digest: Option<String>,
+    /// The architecture a point that names none prices: the template's
+    /// dataflow/packing/dequant triple, PacQ on the builtin machine.
+    default_arch: Architecture,
 }
 
 impl GemmRunner {
@@ -61,7 +65,24 @@ impl GemmRunner {
             record_results: true,
             energy: None,
             template_digest: None,
+            default_arch: Architecture::Pacq,
         }
+    }
+
+    /// Builds the machine from an architecture template: its datapath
+    /// and capacities, per-level energies, content digest and dataflow.
+    ///
+    /// # Errors
+    ///
+    /// A template error (exit 9) when the template's energy model cannot
+    /// be derived.
+    pub fn with_template(self, template: &ArchTemplate) -> PacqResult<Self> {
+        let mut runner = self
+            .with_config(template.sm_config())
+            .with_energy_model(template.energy_model()?)
+            .with_template_digest(template.digest());
+        runner.default_arch = template.architecture()?;
+        Ok(runner)
     }
 
     /// Replaces the machine configuration.
@@ -155,6 +176,12 @@ impl GemmRunner {
     /// The functional compute backend.
     pub fn backend(&self) -> Backend {
         self.backend
+    }
+
+    /// The architecture a point that names none prices (see
+    /// [`GemmRunner::with_template`]).
+    pub fn default_arch(&self) -> Architecture {
+        self.default_arch
     }
 
     /// Analytically simulates `workload` on `arch` and prices it.

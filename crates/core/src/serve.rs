@@ -40,11 +40,8 @@ use crate::cli;
 use crate::dse::EvalPoint;
 use crate::flags::Args;
 use crate::runner::GemmRunner;
-use pacq_cache::ReportCache;
 use pacq_error::{PacqError, PacqResult};
-use pacq_fp16::{Backend, WeightPrecision};
-use pacq_quant::GroupShape;
-use pacq_simt::{Architecture, Workload};
+use pacq_simt::GemmShape;
 use pacq_trace::Json;
 use rayon::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -87,10 +84,6 @@ pub struct ServeOptions {
     /// shared `--jobs` validator (`par.rs`), so `--jobs`/`PACQ_JOBS`
     /// govern the server exactly like every batch command.
     pub workers: usize,
-    /// Functional compute backend for served evaluations. Both backends
-    /// answer with bit-identical reports (the conformance suite pins
-    /// this), so the knob only affects throughput.
-    pub backend: Backend,
     /// Sustained per-connection admission rate in work requests per
     /// second (`--rate`); 0 disables rate limiting (the default).
     pub rate: u64,
@@ -109,7 +102,6 @@ impl Default for ServeOptions {
         ServeOptions {
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             workers: rayon::current_num_threads().max(1),
-            backend: Backend::Scalar,
             rate: 0,
             burst: 0,
             max_clients: 0,
@@ -131,47 +123,6 @@ pub struct ServeSummary {
     pub rate_limited: u64,
     /// Connections turned away at the `--max-clients` accept gate.
     pub rejected_conns: u64,
-}
-
-/// A partially-specified point: `batch` frames carry frame-level
-/// defaults that entries override; `shape` has no default.
-#[derive(Debug, Clone, Copy)]
-struct PointSpec {
-    shape: Option<pacq_simt::GemmShape>,
-    arch: Architecture,
-    precision: WeightPrecision,
-    group: GroupShape,
-    dup: usize,
-    width: usize,
-}
-
-impl PointSpec {
-    /// The CLI's defaults: PacQ architecture, INT4, `g128`, `--dup 2`,
-    /// `--width 4`.
-    fn base() -> PointSpec {
-        PointSpec {
-            shape: None,
-            arch: Architecture::Pacq,
-            precision: WeightPrecision::Int4,
-            group: GroupShape::G128,
-            dup: 2,
-            width: 4,
-        }
-    }
-
-    fn into_point(self) -> PacqResult<EvalPoint> {
-        let shape = self
-            .shape
-            .ok_or_else(|| PacqError::usage("`shape` is required (e.g. \"m16n4096k4096\")"))?;
-        Ok(EvalPoint {
-            arch: self.arch,
-            workload: Workload::new(shape, self.precision),
-            width: self.width,
-            dup: self.dup,
-            group: self.group,
-            mapping: None,
-        })
-    }
 }
 
 /// A parsed request frame.
@@ -248,12 +199,13 @@ struct ServerState {
     rejected_conns: AtomicU64,
     depth: AtomicUsize,
     options: ServeOptions,
-    /// The builtin machine every request's [`EvalPoint::runner`]
-    /// overrides, carrying the cache handle and backend. It records no
-    /// per-request results: a server answers an unbounded stream, and
-    /// recording every analysis would grow the collector (and the
-    /// `--metrics` manifest) without bound. Traffic shows up in the
-    /// `serve.*` counters instead.
+    /// The base runner every request's point defaults come from
+    /// ([`cli::default_point`]) and its [`EvalPoint::runner`]
+    /// overrides: the CLI's template (or builtin) machine, cache handle
+    /// and backend. It records no per-request results: a server
+    /// answers an unbounded stream, and recording every analysis would
+    /// grow the collector (and the `--metrics` manifest) without bound.
+    /// Traffic shows up in the `serve.*` counters instead.
     base: GemmRunner,
     /// Read-half clones of live TCP connections keyed by a per-accept
     /// id, so drain can unblock idle readers and teardown can remove
@@ -282,7 +234,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 impl ServerState {
     fn new(
         options: ServeOptions,
-        cache: Option<Arc<ReportCache>>,
+        base: GemmRunner,
         addr: Option<SocketAddr>,
     ) -> (Arc<ServerState>, Receiver<Job>) {
         // Capacity 0 would build a rendezvous channel (reader and
@@ -298,16 +250,49 @@ impl ServerState {
             rejected_conns: AtomicU64::new(0),
             depth: AtomicUsize::new(0),
             options,
-            base: GemmRunner::new()
-                .with_cache_opt(cache)
-                .with_backend(options.backend)
-                .without_result_recording(),
+            base: base.without_result_recording(),
             conns: Mutex::new(Vec::new()),
             conn_seq: AtomicU64::new(0),
             active_conns: AtomicUsize::new(0),
             addr,
         };
         (Arc::new(state), rx)
+    }
+
+    /// Starts `options.workers` workers on the queue `jobs`.
+    fn spawn_workers(self: &Arc<Self>, jobs: Receiver<Job>) -> Vec<thread::JoinHandle<()>> {
+        let jobs = Arc::new(Mutex::new(jobs));
+        (0..self.options.workers)
+            .map(|_| {
+                let (jobs, state) = (Arc::clone(&jobs), Arc::clone(self));
+                thread::spawn(move || worker_loop(&jobs, &state))
+            })
+            .collect()
+    }
+
+    /// The `ready` event: the bound address (TCP), pool, queue and
+    /// backend.
+    fn ready_frame(&self) -> Json {
+        let mut frame = Json::object();
+        frame.set("schema", PROTOCOL);
+        frame.set("event", "ready");
+        if let Some(addr) = self.addr {
+            frame.set("addr", addr.to_string());
+        }
+        frame.set("workers", self.options.workers.to_string());
+        frame.set("queue_capacity", self.options.queue_capacity.to_string());
+        frame.set("backend", self.base.backend().token());
+        frame
+    }
+
+    /// Drains, joins `threads` (workers and connections) and returns
+    /// the run's counters.
+    fn finish(&self, threads: Vec<thread::JoinHandle<()>>) -> ServeSummary {
+        self.drain();
+        for thread in threads {
+            let _ = thread.join();
+        }
+        self.summary()
     }
 
     fn summary(&self) -> ServeSummary {
@@ -388,7 +373,7 @@ fn stats_frame(id: &Json, state: &ServerState) -> Json {
     );
     stats.set("queue_capacity", state.options.queue_capacity.to_string());
     stats.set("workers", state.options.workers.to_string());
-    stats.set("backend", state.options.backend.token());
+    stats.set("backend", state.base.backend().token());
     match state.base.cache() {
         Some(cache) => {
             stats.set("cache_attached", true);
@@ -470,35 +455,49 @@ fn field_usize(doc: &Json, field: &str) -> PacqResult<Option<usize>> {
     }
 }
 
-/// Applies the point-shaping fields of `doc` on top of `base`
-/// (analyze frames, batch frame-level defaults, and batch entries all
-/// share this).
-fn parse_spec(doc: &Json, base: PointSpec) -> PacqResult<PointSpec> {
-    let mut spec = base;
+/// Applies the point fields of `doc` over `point` (analyze frames,
+/// batch frame-level fields and batch entries all share this).
+fn apply_fields(doc: &Json, mut point: EvalPoint) -> PacqResult<EvalPoint> {
     if let Some(text) = field_str(doc, "shape")? {
-        spec.shape = Some(cli::parse_shape(text)?);
+        point.workload.shape = cli::parse_shape(text)?;
     }
     if let Some(text) = field_str(doc, "arch")? {
-        spec.arch = cli::parse_arch(text)?;
+        point.arch = cli::parse_arch(text)?;
     }
     if let Some(text) = field_str(doc, "precision")? {
-        spec.precision = cli::parse_precision(text)?;
+        point.workload.precision = cli::parse_precision(text)?;
     }
     if let Some(text) = field_str(doc, "group")? {
-        spec.group = cli::parse_group(text)?;
+        point.group = cli::parse_group(text)?;
     }
     if let Some(dup) = field_usize(doc, "dup")? {
-        spec.dup = cli::parse_dup(&dup.to_string())?;
+        point.dup = cli::parse_dup(&dup.to_string())?;
     }
     if let Some(width) = field_usize(doc, "width")? {
-        spec.width = cli::parse_width(&width.to_string())?;
+        point.width = cli::parse_width(&width.to_string())?;
     }
-    Ok(spec)
+    Ok(point)
+}
+
+/// The point `doc` names over `defaults`, which must include a shape:
+/// `shape` is the one field without a default.
+fn parse_point(doc: &Json, defaults: EvalPoint) -> PacqResult<EvalPoint> {
+    let point = apply_fields(doc, defaults)?;
+    match doc.get("shape") {
+        Some(_) => Ok(point),
+        None => Err(PacqError::usage(
+            "`shape` is required (e.g. \"m16n4096k4096\")",
+        )),
+    }
 }
 
 const POINT_KEYS: [&str; 6] = ["shape", "arch", "precision", "group", "dup", "width"];
 
-fn parse_request(doc: &Json) -> PacqResult<Request> {
+/// Parses one frame; points start from `base`'s defaults
+/// ([`cli::default_point`]).
+fn parse_request(doc: &Json, base: &GemmRunner) -> PacqResult<Request> {
+    // The placeholder shape never survives: every point must name one.
+    let defaults = cli::default_point(base, GemmShape::M16N16K16);
     let op = doc
         .get("op")
         .ok_or_else(|| proto("missing field `op`"))?
@@ -519,8 +518,7 @@ fn parse_request(doc: &Json) -> PacqResult<Request> {
                     "width",
                 ],
             )?;
-            let spec = parse_spec(doc, PointSpec::base())?;
-            Ok(Request::Analyze(spec.into_point()?))
+            Ok(Request::Analyze(parse_point(doc, defaults)?))
         }
         "batch" => {
             check_keys(
@@ -536,7 +534,7 @@ fn parse_request(doc: &Json) -> PacqResult<Request> {
                     "width",
                 ],
             )?;
-            let defaults = parse_spec(doc, PointSpec::base())?;
+            let defaults = apply_fields(doc, defaults)?;
             let entries = doc
                 .get("requests")
                 .ok_or_else(|| proto("batch wants an array field `requests`"))?
@@ -554,7 +552,7 @@ fn parse_request(doc: &Json) -> PacqResult<Request> {
                     return Err(proto("every `requests` entry must be a JSON object"));
                 }
                 check_keys(entry, &POINT_KEYS)?;
-                points.push(parse_spec(entry, defaults)?.into_point()?);
+                points.push(parse_point(entry, defaults)?);
             }
             Ok(Request::Batch(points))
         }
@@ -742,7 +740,7 @@ fn handle_line(
         }
     };
     let id = doc.get("id").cloned().unwrap_or(Json::Null);
-    match parse_request(&doc) {
+    match parse_request(&doc, &state.base) {
         Ok(Request::Stats) => send(state, tx, stats_frame(&id, state), false),
         Ok(Request::Ping) => {
             let mut frame = ok_frame(&id);
@@ -892,28 +890,17 @@ impl Server {
     /// # Errors
     ///
     /// Returns [`PacqError::Io`] when the address cannot be bound.
-    pub fn bind(
-        addr: &str,
-        options: ServeOptions,
-        cache: Option<Arc<ReportCache>>,
-    ) -> PacqResult<Server> {
+    pub fn bind(addr: &str, options: ServeOptions, base: GemmRunner) -> PacqResult<Server> {
         let io_err = |e: std::io::Error| PacqError::Io {
             context: "serve::bind",
             message: e.to_string(),
         };
         let listener = TcpListener::bind(addr).map_err(io_err)?;
         let local = listener.local_addr().map_err(io_err)?;
-        let (state, jobs) = ServerState::new(options, cache, Some(local));
-        let jobs = Arc::new(Mutex::new(jobs));
-        let mut workers = Vec::with_capacity(options.workers);
-        for _ in 0..options.workers {
-            let jobs = Arc::clone(&jobs);
-            let state = Arc::clone(&state);
-            workers.push(thread::spawn(move || worker_loop(&jobs, &state)));
-        }
+        let (state, jobs) = ServerState::new(options, base, Some(local));
+        let mut threads = state.spawn_workers(jobs);
         let accept_state = Arc::clone(&state);
         let thread = thread::spawn(move || {
-            let mut conns = Vec::new();
             for stream in listener.incoming() {
                 if accept_state.draining.load(Ordering::SeqCst) {
                     break;
@@ -930,19 +917,12 @@ impl Server {
                 }
                 accept_state.active_conns.fetch_add(1, Ordering::SeqCst);
                 let conn_state = Arc::clone(&accept_state);
-                conns.push(thread::spawn(move || handle_conn(stream, conn_state)));
+                threads.push(thread::spawn(move || handle_conn(stream, conn_state)));
             }
             drop(listener);
-            // Belt and braces for externally-triggered shutdowns: drain
-            // is idempotent, and every reader must see EOF before join.
-            accept_state.drain();
-            for conn in conns {
-                let _ = conn.join();
-            }
-            for worker in workers {
-                let _ = worker.join();
-            }
-            accept_state.summary()
+            // Externally-triggered shutdowns drain here too: every
+            // reader must see EOF before its join.
+            accept_state.finish(threads)
         });
         Ok(Server {
             state,
@@ -981,21 +961,6 @@ impl Server {
             .join()
             .map_err(|_| PacqError::protocol("serve::wait", "server thread panicked"))
     }
-
-    /// The frame announced on stdout when the server is ready.
-    fn ready_frame(&self) -> Json {
-        let mut frame = Json::object();
-        frame.set("schema", PROTOCOL);
-        frame.set("event", "ready");
-        frame.set("addr", self.addr.to_string());
-        frame.set("workers", self.state.options.workers.to_string());
-        frame.set(
-            "queue_capacity",
-            self.state.options.queue_capacity.to_string(),
-        );
-        frame.set("backend", self.state.options.backend.token());
-        frame
-    }
 }
 
 /// Serves `pacq-serve/v1` over stdin/stdout until EOF or a `shutdown`
@@ -1005,35 +970,14 @@ impl Server {
 ///
 /// Infallible today (the signature leaves room for future I/O setup
 /// errors); client-visible failures travel as error frames instead.
-pub fn serve_stdio(
-    options: ServeOptions,
-    cache: Option<Arc<ReportCache>>,
-) -> PacqResult<ServeSummary> {
-    let (state, jobs) = ServerState::new(options, cache, None);
-    let jobs = Arc::new(Mutex::new(jobs));
-    let mut workers = Vec::with_capacity(options.workers);
-    for _ in 0..options.workers {
-        let jobs = Arc::clone(&jobs);
-        let state = Arc::clone(&state);
-        workers.push(thread::spawn(move || worker_loop(&jobs, &state)));
-    }
+pub fn serve_stdio(options: ServeOptions, base: GemmRunner) -> PacqResult<ServeSummary> {
+    let (state, jobs) = ServerState::new(options, base, None);
+    let workers = state.spawn_workers(jobs);
     let (tx, rx) = mpsc::channel::<String>();
     let writer = thread::spawn(move || writer_loop(rx, std::io::stdout().lock()));
-
-    let mut ready = Json::object();
-    ready.set("schema", PROTOCOL);
-    ready.set("event", "ready");
-    ready.set("workers", options.workers.to_string());
-    ready.set("queue_capacity", options.queue_capacity.to_string());
-    ready.set("backend", options.backend.token());
-    let _ = tx.send(ready.render_line());
-
+    let _ = tx.send(state.ready_frame().render_line());
     reader_loop(std::io::stdin().lock(), &state, &tx);
-    state.drain();
-    for worker in workers {
-        let _ = worker.join();
-    }
-    let summary = state.summary();
+    let summary = state.finish(workers);
     let mut drained = Json::object();
     drained.set("schema", PROTOCOL);
     drained.set("event", "drained");
@@ -1073,20 +1017,15 @@ pub fn validate_serve_count(raw: &str, source: &str, max: u64) -> PacqResult<u64
 
 /// `pacq serve (--port N | --stdio) [--queue N] [--rate N] [--burst N]
 /// [--max-clients N]` — validates the serve flags (argv already split
-/// against serve's table) and runs the matching lifecycle until
-/// drained. The `backend` comes from the global
-/// `--backend` / `PACQ_BACKEND` knob the CLI front end already
-/// resolved.
+/// against serve's table) and runs the matching lifecycle over `base`
+/// (the CLI's [`cli::Globals::runner`]: template or builtin machine,
+/// cache and backend) until drained.
 ///
 /// # Errors
 ///
 /// Returns [`PacqError::Usage`] for flag errors and [`PacqError::Io`]
 /// when the TCP port cannot be bound.
-pub fn run_cli(
-    flags: &Args,
-    cache: Option<Arc<ReportCache>>,
-    backend: Backend,
-) -> PacqResult<String> {
+pub fn run_cli(flags: &Args, base: GemmRunner) -> PacqResult<String> {
     let usage = |msg: &str| PacqError::usage(msg.to_string());
     let count = |name: &str, max: u64| flags.get(name, |v| validate_serve_count(v, name, max));
     let port: Option<u16> = flags.get("--port", |v| {
@@ -1102,22 +1041,22 @@ pub fn run_cli(
     }
     let options = ServeOptions {
         queue_capacity: queue.map_or(DEFAULT_QUEUE_CAPACITY, |q| q as usize),
-        backend,
         rate,
         burst: burst.unwrap_or(rate),
         max_clients: max_clients.unwrap_or(0) as usize,
         ..ServeOptions::default()
     };
+    let cache = base.cache().cloned();
     let summary = match (port, stdio) {
         (Some(_), true) => return Err(usage("--port and --stdio are mutually exclusive")),
         (None, false) => return Err(usage("serve wants --port N or --stdio")),
-        (None, true) => serve_stdio(options, cache.clone())?,
+        (None, true) => serve_stdio(options, base)?,
         (Some(port), false) => {
-            let server = Server::bind(&format!("127.0.0.1:{port}"), options, cache.clone())?;
+            let server = Server::bind(&format!("127.0.0.1:{port}"), options, base)?;
             // Announce readiness immediately — with --port 0 the client
             // cannot know the port any other way.
             let mut stdout = std::io::stdout().lock();
-            let _ = writeln!(stdout, "{}", server.ready_frame().render_line());
+            let _ = writeln!(stdout, "{}", server.state.ready_frame().render_line());
             let _ = stdout.flush();
             server.wait()?
         }
@@ -1147,10 +1086,16 @@ pub fn run_cli(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pacq_fp16::WeightPrecision;
+    use pacq_quant::GroupShape;
+    use pacq_simt::{Architecture, Workload};
     use std::io::Cursor;
 
     fn parse(text: &str) -> PacqResult<Request> {
-        parse_request(&Json::parse(text).expect("test frame parses"))
+        parse_request(
+            &Json::parse(text).expect("test frame parses"),
+            &GemmRunner::new(),
+        )
     }
 
     #[test]
@@ -1163,6 +1108,29 @@ mod tests {
         assert_eq!(p.workload.precision, WeightPrecision::Int4);
         assert_eq!((p.dup, p.width), (2, 4));
         assert_eq!(p.group, GroupShape::G128);
+    }
+
+    #[test]
+    fn templated_bases_supply_the_frame_defaults() {
+        let mut template = pacq_arch::ArchTemplate::input_stationary();
+        template.dp_width = 8;
+        template.adder_tree_duplication = 4;
+        let base = GemmRunner::new().with_template(&template).unwrap();
+        let frame = r#"{"op":"batch","precision":"int2",
+            "requests":[{"shape":"m16n256k256"},{"shape":"m32n256k256","arch":"pacq","dup":1}]}"#;
+        let Request::Batch(points) = parse_request(&Json::parse(frame).unwrap(), &base).unwrap()
+        else {
+            panic!("not batch")
+        };
+        let summary = |p: &EvalPoint| (p.arch, p.workload.precision, p.width, p.dup);
+        assert_eq!(
+            summary(&points[0]),
+            (Architecture::InputStationary, WeightPrecision::Int2, 8, 4)
+        );
+        assert_eq!(
+            summary(&points[1]),
+            (Architecture::Pacq, WeightPrecision::Int2, 8, 1)
+        );
     }
 
     #[test]
@@ -1224,26 +1192,17 @@ mod tests {
     /// plumbing without a socket: requests in a cursor, replies from
     /// the channel.
     fn drive(input: &str, options: ServeOptions) -> (Vec<Json>, ServeSummary) {
-        let (state, jobs) = ServerState::new(options, None, None);
-        let jobs = Arc::new(Mutex::new(jobs));
-        let mut workers = Vec::new();
-        for _ in 0..options.workers {
-            let jobs = Arc::clone(&jobs);
-            let state = Arc::clone(&state);
-            workers.push(thread::spawn(move || worker_loop(&jobs, &state)));
-        }
+        let (state, jobs) = ServerState::new(options, GemmRunner::new(), None);
+        let workers = state.spawn_workers(jobs);
         let (tx, rx) = mpsc::channel::<String>();
         reader_loop(BufReader::new(Cursor::new(input.to_string())), &state, &tx);
-        state.drain();
-        for w in workers {
-            w.join().unwrap();
-        }
+        let summary = state.finish(workers);
         drop(tx);
         let replies = rx
             .into_iter()
             .map(|line| Json::parse(&line).expect("reply frames are valid JSON"))
             .collect();
-        (replies, state.summary())
+        (replies, summary)
     }
 
     fn by_id(replies: &[Json], id: f64) -> Json {
@@ -1404,8 +1363,7 @@ mod tests {
         let run = |s: &str| {
             let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
             let table = cli::table("serve").unwrap_or_default();
-            crate::flags::parse(&argv, table, "serve")
-                .and_then(|f| run_cli(&f, None, Backend::Scalar))
+            crate::flags::parse(&argv, table, "serve").and_then(|f| run_cli(&f, GemmRunner::new()))
         };
         for bad in [
             "",
@@ -1472,7 +1430,7 @@ mod tests {
             workers: 1,
             ..ServeOptions::default()
         };
-        let (state, _rx) = ServerState::new(options, None, None);
+        let (state, _rx) = ServerState::new(options, GemmRunner::new(), None);
         let (tx, _reply_rx) = mpsc::channel::<String>();
         // try_send into a rendezvous channel with no waiting receiver
         // fails even when idle; a 1-slot queue accepts the job.

@@ -60,8 +60,8 @@ impl SweepArm {
     /// `grid` walks both precisions; the other arms price `precision`,
     /// and `dup`/`width` only the shape's own batch.
     pub fn axes(self, base: &GemmRunner, shape: GemmShape, precision: WeightPrecision) -> DseAxes {
-        let cfg = base.config();
-        let mut axes = DseAxes::defaults(cfg.dp_width, cfg.adder_tree_duplication, base.group());
+        let d = crate::cli::default_point(base, shape);
+        let mut axes = DseAxes::defaults(d.width, d.dup, d.group);
         match self {
             SweepArm::Grid => return axes,
             SweepArm::Batch => {

@@ -293,7 +293,7 @@ fn gutted_activity_bom_is_err_not_panic() {
 /// a reply because of another client's garbage.
 #[test]
 fn serve_survives_32_hostile_clients() {
-    use pacq::{ReportCache, ServeOptions, Server};
+    use pacq::{GemmRunner, ReportCache, ServeOptions, Server};
     use pacq_trace::Json;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
@@ -315,7 +315,7 @@ fn serve_survives_32_hostile_clients() {
             workers: 4,
             ..ServeOptions::default()
         },
-        Some(Arc::clone(&cache)),
+        GemmRunner::new().with_cache(Arc::clone(&cache)),
     )
     .expect("bind server");
     let addr = server.addr();
@@ -446,4 +446,48 @@ fn cli_malformed_shape_has_usage_exit_code() {
         assert_eq!(err.exit_code(), 2, "{cmd}");
         assert_ne!(err.exit_code(), 0, "{cmd}");
     }
+}
+
+/// A reader that closes the pipe early (`pacq dse ... | head -1`) ends
+/// the output quietly: no panic, no backtrace, no exit 101. The grid's
+/// ~200 KB table overflows the pipe buffer, so the write after the
+/// reader hangs up is guaranteed to hit the closed pipe.
+#[test]
+fn closed_stdout_is_a_quiet_exit_not_a_panic() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pacq"))
+        .args([
+            "dse",
+            "--shape",
+            "m16n256k256",
+            "--param",
+            "batch=16,32,48,64,80,96,112,128,144,160,176,192,208,224,240,256",
+            "--param",
+            "width=4,8,16",
+            "--param",
+            "dup=1,2,4",
+            "--param",
+            "group=g128,g64,g32",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn pacq dse");
+    let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("read the header line");
+    assert!(first.starts_with("design point"), "{first:?}");
+    drop(stdout);
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("child stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    let status = child.wait().expect("child exits");
+    assert_ne!(status.code(), Some(101), "panicked: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -169,7 +169,7 @@ fn server_cli_and_runner_agree_bit_exactly_cold_and_warm() {
             workers: 2,
             ..ServeOptions::default()
         },
-        Some(Arc::clone(&cache)),
+        GemmRunner::new().with_cache(Arc::clone(&cache)),
     )
     .expect("bind server");
 
@@ -345,10 +345,9 @@ fn batched_backend_serves_bit_identical_replies() {
             ServeOptions {
                 queue_capacity: 16,
                 workers: 2,
-                backend,
                 ..ServeOptions::default()
             },
-            None,
+            GemmRunner::new().with_backend(backend),
         )
         .expect("bind server")
     };
@@ -461,4 +460,126 @@ fn stdio_mode_serves_the_same_reports() {
     );
     let last = Json::parse(lines.last().expect("last line")).expect("drained parses");
     assert_eq!(last.get("event").and_then(Json::as_str), Some("drained"));
+}
+
+/// Serve ≡ CLI on templates: a server built on a template's
+/// [`cli::Globals::runner`] base answers every point byte-identically to
+/// the in-process analyze over that same base, whether a frame names a
+/// field or leaves it to the template — the dataflow (the IS template
+/// must price `is`), the DP width and the duplication (the wide
+/// template must price 8/4, not the builtin 4/2). `pacq analyze
+/// --arch-template T --json` agrees with the same report.
+#[test]
+fn templated_servers_answer_like_the_templated_cli() {
+    let example = |name: &str| format!("{}/../../examples/arch/{name}", env!("CARGO_MANIFEST_DIR"));
+    let mut wide = pacq::ArchTemplate::pacq();
+    wide.name = "pacq-dp8-dup4".to_string();
+    wide.dp_width = 8;
+    wide.adder_tree_duplication = 4;
+    let wide_path = scratch_dir("wide").with_extension("toml");
+    std::fs::write(&wide_path, wide.render()).expect("write the wide template");
+    let wide_path = wide_path.to_string_lossy().into_owned();
+
+    for path in [
+        example("pacq.toml"),
+        example("input_stationary.toml"),
+        wide_path.clone(),
+    ] {
+        let template_args = ["--arch-template".to_string(), path.clone()];
+        let (globals, _) = cli::Globals::take(&template_args).expect("template loads");
+        let template = globals.template.clone().expect("template bound");
+        let base = globals.runner().expect("template base");
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServeOptions {
+                queue_capacity: 16,
+                workers: 2,
+                ..ServeOptions::default()
+            },
+            base.clone(),
+        )
+        .expect("bind server");
+        let mut client = Client::connect(&server);
+        let mut rng = TestRng::for_property(&format!("serve_conformance::{}", template.name));
+        for id in 0..24 {
+            let case = random_case(&mut rng);
+            // Rotate what the frame leaves to the template: nothing,
+            // the architecture, the datapath, or every optional field.
+            let (name_arch, name_datapath, name_rest) = match id % 4 {
+                0 => (true, true, true),
+                1 => (false, true, true),
+                2 => (true, false, true),
+                _ => (false, false, false),
+            };
+            // The expected point starts from the template's own fields
+            // and takes each field the frame (and CLI argv) names.
+            let mut point = pacq::EvalPoint {
+                arch: template.architecture().expect("template dataflow"),
+                workload: Workload::new(case.shape, WeightPrecision::Int4),
+                width: template.dp_width,
+                dup: template.adder_tree_duplication,
+                group: GroupShape::G128,
+                mapping: None,
+            };
+            let mut fields = vec![format!("\"shape\":\"{}\"", case.shape_token())];
+            let mut argv: Vec<String> =
+                vec!["analyze".into(), "--shape".into(), case.shape_token()];
+            argv.extend(template_args.iter().cloned());
+            if name_arch {
+                point.arch = case.arch;
+                fields.push(format!("\"arch\":\"{}\"", case.arch_token));
+            }
+            if name_datapath {
+                (point.width, point.dup) = (case.width, case.dup);
+                fields.push(format!("\"dup\":{},\"width\":{}", case.dup, case.width));
+                argv.extend(["--dup".into(), case.dup.to_string()]);
+                argv.extend(["--width".into(), case.width.to_string()]);
+            }
+            if name_rest {
+                (point.workload.precision, point.group) = (case.precision, case.group);
+                fields.push(format!(
+                    "\"precision\":\"{}\",\"group\":\"{}\"",
+                    case.precision_token, case.group_token
+                ));
+                argv.extend(["--precision".into(), case.precision_token.to_string()]);
+                argv.extend(["--group".into(), case.group_token.clone()]);
+            }
+            let frame = format!("{{\"op\":\"analyze\",\"id\":{id},{}}}", fields.join(","));
+
+            let runner = point.runner(&base);
+            let fresh = runner
+                .analyze(point.arch, point.workload)
+                .expect("in-process analyze");
+            let key = runner.cache_key(point.arch, point.workload);
+            let reply = Json::parse(&client.roundtrip(&frame)).expect("reply parses");
+            assert_eq!(
+                reply.get("ok"),
+                Some(&Json::Bool(true)),
+                "{frame}: {reply:?}"
+            );
+            assert_eq!(
+                reply.get("report").expect("report").render_line(),
+                fresh.to_cached().to_json(&key).render_line(),
+                "{}: {frame} drifted from the in-process report",
+                template.name
+            );
+            if !name_arch {
+                // The template pins the dataflow, so only frames that
+                // leave it have a CLI twin.
+                argv.push("--json".to_string());
+                let cli_out = cli::run(&argv).expect("one-shot templated CLI analyze");
+                assert_eq!(
+                    cli_out,
+                    cli::report_json(&fresh),
+                    "{}: {argv:?} drifted from the served report",
+                    template.name
+                );
+            }
+        }
+        client.roundtrip("{\"op\":\"shutdown\",\"id\":99}");
+        drop(client);
+        let summary = server.wait().expect("clean drain");
+        assert_eq!(summary.errors, 0, "{}", template.name);
+    }
+    std::fs::remove_file(&wide_path).ok();
 }

@@ -10,7 +10,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pacq::{ReportCache, ServeOptions, Server};
+use pacq::{GemmRunner, ReportCache, ServeOptions, Server};
 use pacq_trace::Json;
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -75,7 +75,8 @@ impl Client {
 /// server.
 #[test]
 fn connection_registry_returns_to_zero_after_disconnects() {
-    let server = Server::bind("127.0.0.1:0", ServeOptions::default(), None).expect("bind");
+    let server =
+        Server::bind("127.0.0.1:0", ServeOptions::default(), GemmRunner::new()).expect("bind");
 
     for round in 0..8 {
         let mut client = Client::connect(&server);
@@ -117,7 +118,7 @@ fn rate_limited_clients_get_typed_frames_over_tcp() {
             burst: 2,
             ..ServeOptions::default()
         },
-        None,
+        GemmRunner::new(),
     )
     .expect("bind");
 
@@ -175,7 +176,7 @@ fn max_clients_gate_rejects_and_recovers() {
             max_clients: 1,
             ..ServeOptions::default()
         },
-        None,
+        GemmRunner::new(),
     )
     .expect("bind");
 
@@ -247,7 +248,7 @@ fn hot_tier_serves_repeats_from_memory_bit_identically() {
             workers: 2,
             ..ServeOptions::default()
         },
-        Some(Arc::clone(&cache)),
+        GemmRunner::new().with_cache(Arc::clone(&cache)),
     )
     .expect("bind");
 
@@ -337,5 +338,40 @@ fn loadgen_cli_run_records_latency_provenance() {
     ] {
         assert!(text.contains(needle), "manifest lacks {needle}:\n{text}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `pacq loadgen --spawn --arch-template T`: the spawned server and the
+/// in-process byte check share the template's base runner (behind a
+/// cache, which the check bypasses), so every sampled report matches.
+#[test]
+fn loadgen_spawns_a_templated_server_and_samples_identical_reports() {
+    let dir = scratch_dir("loadgen-template");
+    let template = format!(
+        "{}/../../examples/arch/input_stationary.toml",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let args: Vec<String> = [
+        "loadgen",
+        "--spawn",
+        "--arch-template",
+        &template,
+        "--requests",
+        "200",
+        "--clients",
+        "2",
+        "--unique",
+        "8",
+        "--sample",
+        "8",
+        "--cache",
+        dir.to_str().expect("utf8 path"),
+    ]
+    .iter()
+    .map(ToString::to_string)
+    .collect();
+    let out = pacq::cli::run(&args).expect("templated loadgen run");
+    assert!(out.contains("200 ok, 0 errors, 0 lost"), "{out}");
+    assert!(out.contains("8 sampled reports byte-identical"), "{out}");
     let _ = std::fs::remove_dir_all(&dir);
 }
